@@ -38,13 +38,17 @@ Workload MakeWorkload(size_t n, uint64_t seed, size_t fastmap_dims) {
   if (!dist.ok()) std::abort();
   w.distance = std::make_unique<TripleDistance>(std::move(*dist));
 
-  CachingTripleDistance cached(*w.distance);
+  std::vector<PreparedTriple> prepared;
+  prepared.reserve(w.triples.size());
+  for (const Triple& t : w.triples) prepared.push_back(w.distance->Prepare(t));
   FastMapOptions fopts;
   fopts.dimensions = fastmap_dims;
   fopts.seed = seed;
   auto fm = FastMap::Train(
       w.triples.size(),
-      [&](size_t i, size_t j) { return cached(w.triples[i], w.triples[j]); },
+      [&](size_t i, size_t j) {
+        return (*w.distance)(prepared[i], prepared[j]);
+      },
       fopts);
   if (!fm.ok()) std::abort();
   w.fastmap = std::make_unique<FastMap>(std::move(*fm));

@@ -30,6 +30,15 @@ struct ElementDistanceOptions {
   double mixed_kind_distance = 1.0;
 };
 
+/// A term with its taxonomy lookup done once. Points into the Term it
+/// was prepared from, which must outlive it.
+struct PreparedTerm {
+  const Term* term = nullptr;
+  /// The resolved concept (aliases included); kInvalidConcept for
+  /// literals and out-of-vocabulary concepts.
+  ConceptId concept_id = kInvalidConcept;
+};
+
 /// Computes the distance between two elements; always in [0,1].
 ///
 /// Concepts that cannot be resolved in the taxonomy fall back to the
@@ -40,7 +49,13 @@ class ElementDistance {
   ElementDistance(const Taxonomy* taxonomy, ElementDistanceOptions options)
       : taxonomy_(taxonomy), options_(options) {}
 
-  double operator()(const Term& a, const Term& b) const;
+  /// Resolves `term` in the taxonomy once, for repeated comparisons.
+  PreparedTerm Prepare(const Term& term) const;
+
+  double operator()(const PreparedTerm& a, const PreparedTerm& b) const;
+  double operator()(const Term& a, const Term& b) const {
+    return (*this)(Prepare(a), Prepare(b));
+  }
 
   const ElementDistanceOptions& options() const { return options_; }
   const Taxonomy& taxonomy() const { return *taxonomy_; }

@@ -30,48 +30,24 @@ Result<TripleDistance> TripleDistance::Make(
   return TripleDistance(taxonomy, weights, element_options);
 }
 
-double TripleDistance::operator()(const Triple& a, const Triple& b) const {
+PreparedTriple TripleDistance::Prepare(const Triple& t) const {
+  return PreparedTriple{element_.Prepare(t.subject),
+                        element_.Prepare(t.predicate),
+                        element_.Prepare(t.object)};
+}
+
+double TripleDistance::operator()(const PreparedTriple& a,
+                                  const PreparedTriple& b) const {
   Components c = ComponentDistances(a, b);
   return weights_.alpha * c.subject + weights_.beta * c.predicate +
          weights_.gamma * c.object;
 }
 
 TripleDistance::Components TripleDistance::ComponentDistances(
-    const Triple& a, const Triple& b) const {
+    const PreparedTriple& a, const PreparedTriple& b) const {
   return Components{element_(a.subject, b.subject),
                     element_(a.predicate, b.predicate),
                     element_(a.object, b.object)};
-}
-
-double CachingTripleDistance::ElementCached(char position, const Term& a,
-                                            const Term& b) {
-  // Symmetric key: order the operands so (a,b) and (b,a) share an entry.
-  std::string ka = a.ToString();
-  std::string kb = b.ToString();
-  if (kb < ka) std::swap(ka, kb);
-  std::string key;
-  key.reserve(ka.size() + kb.size() + 3);
-  key.push_back(position);
-  key += ka;
-  key.push_back('\x1f');
-  key += kb;
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  double d = base_.element_distance()(a, b);
-  cache_.emplace(std::move(key), d);
-  return d;
-}
-
-double CachingTripleDistance::operator()(const Triple& a,
-                                         const Triple& b) {
-  const TripleDistanceWeights& w = base_.weights();
-  return w.alpha * ElementCached('s', a.subject, b.subject) +
-         w.beta * ElementCached('p', a.predicate, b.predicate) +
-         w.gamma * ElementCached('o', a.object, b.object);
 }
 
 }  // namespace semtree

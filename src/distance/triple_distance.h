@@ -13,9 +13,6 @@
 #define SEMTREE_DISTANCE_TRIPLE_DISTANCE_H_
 
 #include <functional>
-#include <memory>
-#include <string>
-#include <unordered_map>
 
 #include "common/result.h"
 #include "distance/element_distance.h"
@@ -33,10 +30,20 @@ struct TripleDistanceWeights {
   Status Validate() const;
 };
 
+/// A triple whose concept terms were looked up in the taxonomy once, so
+/// comparing it against many others repeats no name resolution. Points
+/// into the Triple it was prepared from, which must outlive it.
+struct PreparedTriple {
+  PreparedTerm subject;
+  PreparedTerm predicate;
+  PreparedTerm object;
+};
+
 /// The composite semantic distance between triples; values in [0,1].
 ///
 /// Copyable and cheap to pass by value; the taxonomy is shared, not
-/// owned, and must outlive every TripleDistance referencing it.
+/// owned, and must outlive every TripleDistance referencing it. Safe to
+/// call from many threads at once.
 class TripleDistance {
  public:
   /// Builds a distance; fails if the weights are invalid or the
@@ -46,7 +53,14 @@ class TripleDistance {
       TripleDistanceWeights weights = {},
       ElementDistanceOptions element_options = {});
 
-  double operator()(const Triple& a, const Triple& b) const;
+  /// Resolves the triple's terms once (see PreparedTriple).
+  PreparedTriple Prepare(const Triple& t) const;
+
+  /// Eq. (1). The Triple overload prepares both sides, then evaluates.
+  double operator()(const PreparedTriple& a, const PreparedTriple& b) const;
+  double operator()(const Triple& a, const Triple& b) const {
+    return (*this)(Prepare(a), Prepare(b));
+  }
 
   /// The three sub-distances of Eq. (1), unweighted (ds, dp, do).
   struct Components {
@@ -54,7 +68,11 @@ class TripleDistance {
     double predicate;
     double object;
   };
-  Components ComponentDistances(const Triple& a, const Triple& b) const;
+  Components ComponentDistances(const PreparedTriple& a,
+                                const PreparedTriple& b) const;
+  Components ComponentDistances(const Triple& a, const Triple& b) const {
+    return ComponentDistances(Prepare(a), Prepare(b));
+  }
 
   const TripleDistanceWeights& weights() const { return weights_; }
   const ElementDistance& element_distance() const { return element_; }
@@ -72,33 +90,6 @@ class TripleDistance {
 /// baseline consume.
 using TripleDistanceFn =
     std::function<double(const Triple&, const Triple&)>;
-
-/// Memoizes element-level distances of a TripleDistance.
-///
-/// Real corpora draw subjects/predicates/objects from small
-/// vocabularies, so the number of distinct term pairs is far below the
-/// number of triple pairs; caching turns FastMap training from
-/// taxonomy-bound into hash-lookup-bound.
-///
-/// NOT thread-safe: intended for single-threaded build paths.
-class CachingTripleDistance {
- public:
-  explicit CachingTripleDistance(TripleDistance base)
-      : base_(std::move(base)) {}
-
-  double operator()(const Triple& a, const Triple& b);
-
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
- private:
-  double ElementCached(char position, const Term& a, const Term& b);
-
-  TripleDistance base_;
-  std::unordered_map<std::string, double> cache_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-};
 
 }  // namespace semtree
 

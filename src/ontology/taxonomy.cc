@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <queue>
 
 #include "common/string_util.h"
 
@@ -14,6 +12,7 @@ namespace semtree {
 Taxonomy::Taxonomy(std::string root_name) {
   Node root;
   root.name = std::move(root_name);
+  root.ancestors = {{0, 0}};
   nodes_.push_back(std::move(root));
   by_name_[nodes_[0].name] = 0;
 }
@@ -57,10 +56,12 @@ Result<ConceptId> Taxonomy::AddConceptUnder(
     }
   }
   node.parents = std::move(dedup);
+  node.ancestors = ClosureFromParents(id, node.parents);
   nodes_.push_back(std::move(node));
+  max_depth_ = std::max(max_depth_, Depth(id));
   by_name_[key] = id;
   for (ConceptId p : nodes_[id].parents) nodes_[p].children.push_back(id);
-  InvalidateCaches();
+  ic_.valid.store(false, std::memory_order_relaxed);
   return id;
 }
 
@@ -82,7 +83,19 @@ Status Taxonomy::AddParent(ConceptId child, ConceptId parent) {
   }
   parents.push_back(parent);
   nodes_[parent].children.push_back(child);
-  InvalidateCaches();
+  // A new path from any descendant d of `child` runs d ... child ->
+  // parent ... x. Neither leg can use the new edge without a cycle, so
+  // the current closures give both legs exactly. `parent` is not a
+  // descendant of `child`, so `above` stays put in the loop.
+  const std::vector<Ancestor>& above = nodes_[parent].ancestors;
+  max_depth_ = 0;
+  for (ConceptId d = 0; d < nodes_.size(); ++d) {
+    if (const Ancestor* via_child = FindAncestor(d, child)) {
+      MergeAncestors(&nodes_[d].ancestors, above, via_child->up_edges + 1);
+    }
+    max_depth_ = std::max(max_depth_, Depth(d));
+  }
+  ic_.valid.store(false, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -120,7 +133,7 @@ Status Taxonomy::AddAntonym(ConceptId a, ConceptId b) {
 Status Taxonomy::AddFrequency(ConceptId c, uint64_t count) {
   if (c >= nodes_.size()) return Status::NotFound("unknown concept id");
   nodes_[c].frequency += count;
-  ic_valid_ = false;
+  ic_.valid.store(false, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -164,144 +177,110 @@ std::vector<std::pair<ConceptId, ConceptId>> Taxonomy::AntonymPairs()
   return pairs;
 }
 
-void Taxonomy::InvalidateCaches() {
-  depths_valid_ = false;
-  ic_valid_ = false;
+void Taxonomy::MergeAncestors(std::vector<Ancestor>* closure,
+                              const std::vector<Ancestor>& above,
+                              uint32_t edges) {
+  for (const Ancestor& a : above) {
+    closure->push_back({a.id, a.up_edges + edges});
+  }
+  // Sort by id, fewest edges first, then keep the first of each id.
+  std::sort(closure->begin(), closure->end(),
+            [](const Ancestor& x, const Ancestor& y) {
+              return x.id != y.id ? x.id < y.id : x.up_edges < y.up_edges;
+            });
+  closure->erase(std::unique(closure->begin(), closure->end(),
+                             [](const Ancestor& x, const Ancestor& y) {
+                               return x.id == y.id;
+                             }),
+                 closure->end());
 }
 
-void Taxonomy::EnsureDepths() const {
-  if (depths_valid_) return;
-  depths_.assign(nodes_.size(), std::numeric_limits<uint32_t>::max());
-  std::deque<ConceptId> queue;
-  depths_[root()] = 0;
-  queue.push_back(root());
-  max_depth_ = 0;
-  while (!queue.empty()) {
-    ConceptId c = queue.front();
-    queue.pop_front();
-    for (ConceptId child : nodes_[c].children) {
-      if (depths_[child] > depths_[c] + 1) {
-        depths_[child] = depths_[c] + 1;
-        max_depth_ = std::max<size_t>(max_depth_, depths_[child]);
-        queue.push_back(child);
-      }
-    }
+std::vector<Taxonomy::Ancestor> Taxonomy::ClosureFromParents(
+    ConceptId c, const std::vector<ConceptId>& parents) const {
+  std::vector<Ancestor> closure = {{c, 0}};
+  for (ConceptId p : parents) {
+    MergeAncestors(&closure, nodes_[p].ancestors, 1);
   }
-  depths_valid_ = true;
+  return closure;
+}
+
+const Taxonomy::Ancestor* Taxonomy::FindAncestor(ConceptId descendant,
+                                                 ConceptId ancestor) const {
+  const std::vector<Ancestor>& up = nodes_[descendant].ancestors;
+  auto it = std::lower_bound(
+      up.begin(), up.end(), ancestor,
+      [](const Ancestor& a, ConceptId id) { return a.id < id; });
+  return it != up.end() && it->id == ancestor ? &*it : nullptr;
 }
 
 size_t Taxonomy::Depth(ConceptId c) const {
-  EnsureDepths();
-  return depths_[c];
+  // The root has the smallest id, so it heads every closure.
+  return nodes_[c].ancestors.front().up_edges;
 }
 
-size_t Taxonomy::MaxDepth() const {
-  EnsureDepths();
-  return max_depth_;
-}
+size_t Taxonomy::MaxDepth() const { return max_depth_; }
 
 bool Taxonomy::IsAncestor(ConceptId ancestor, ConceptId descendant) const {
-  if (ancestor == descendant) return true;
-  // Walk up from the descendant; taxonomies are shallow, so DFS is fine.
-  std::vector<ConceptId> stack = {descendant};
-  std::unordered_set<ConceptId> seen;
-  while (!stack.empty()) {
-    ConceptId c = stack.back();
-    stack.pop_back();
-    for (ConceptId p : nodes_[c].parents) {
-      if (p == ancestor) return true;
-      if (seen.insert(p).second) stack.push_back(p);
-    }
-  }
-  return false;
+  return FindAncestor(descendant, ancestor) != nullptr;
 }
 
 std::vector<ConceptId> Taxonomy::Ancestors(ConceptId c) const {
   std::vector<ConceptId> out;
-  std::unordered_set<ConceptId> seen;
-  std::deque<ConceptId> queue = {c};
-  seen.insert(c);
-  while (!queue.empty()) {
-    ConceptId cur = queue.front();
-    queue.pop_front();
-    out.push_back(cur);
-    for (ConceptId p : nodes_[cur].parents) {
-      if (seen.insert(p).second) queue.push_back(p);
-    }
-  }
+  out.reserve(nodes_[c].ancestors.size());
+  for (const Ancestor& a : nodes_[c].ancestors) out.push_back(a.id);
   return out;
 }
 
-ConceptId Taxonomy::LowestCommonSubsumer(ConceptId a, ConceptId b) const {
-  EnsureDepths();
-  std::vector<ConceptId> a_up = Ancestors(a);
-  std::unordered_set<ConceptId> a_set(a_up.begin(), a_up.end());
-  ConceptId best = root();
-  size_t best_depth = 0;
-  for (ConceptId c : Ancestors(b)) {
-    if (!a_set.count(c)) continue;
-    size_t d = depths_[c];
-    if (d >= best_depth) {
-      // Ties broken toward the smaller id for determinism.
-      if (d > best_depth || c < best) best = c;
-      best_depth = d;
+template <typename Fn>
+void Taxonomy::ForEachCommonAncestor(ConceptId a, ConceptId b,
+                                     Fn fn) const {
+  const std::vector<Ancestor>& ua = nodes_[a].ancestors;
+  const std::vector<Ancestor>& ub = nodes_[b].ancestors;
+  for (size_t i = 0, j = 0; i < ua.size() && j < ub.size();) {
+    if (ua[i].id < ub[j].id) {
+      ++i;
+    } else if (ub[j].id < ua[i].id) {
+      ++j;
+    } else {
+      fn(ua[i++], ub[j++]);
     }
   }
+}
+
+ConceptId Taxonomy::LowestCommonSubsumer(ConceptId a, ConceptId b) const {
+  ConceptId best = root();
+  size_t best_depth = 0;
+  // Ids come in increasing order and only a strictly deeper one
+  // replaces the best, so ties stay with the smallest id.
+  ForEachCommonAncestor(a, b, [&](const Ancestor& x, const Ancestor&) {
+    size_t d = Depth(x.id);
+    if (d > best_depth) {
+      best = x.id;
+      best_depth = d;
+    }
+  });
   return best;
 }
 
 size_t Taxonomy::ShortestPathEdges(ConceptId a, ConceptId b) const {
-  if (a == b) return 0;
-  // BFS upward from both endpoints; the shortest connecting path goes
-  // through a common ancestor, so dist = min over common c of
-  // up_a(c) + up_b(c).
-  auto up_distances = [this](ConceptId from) {
-    std::unordered_map<ConceptId, size_t> dist;
-    std::deque<ConceptId> queue = {from};
-    dist[from] = 0;
-    while (!queue.empty()) {
-      ConceptId c = queue.front();
-      queue.pop_front();
-      for (ConceptId p : nodes_[c].parents) {
-        if (!dist.count(p)) {
-          dist[p] = dist[c] + 1;
-          queue.push_back(p);
-        }
-      }
-    }
-    return dist;
-  };
-  auto da = up_distances(a);
-  auto db = up_distances(b);
+  // The shortest connecting path goes through a common ancestor, so
+  // dist = min over common c of up_a(c) + up_b(c).
   size_t best = std::numeric_limits<size_t>::max();
-  for (const auto& [c, d] : da) {
-    auto it = db.find(c);
-    if (it != db.end()) best = std::min(best, d + it->second);
-  }
+  ForEachCommonAncestor(a, b, [&](const Ancestor& x, const Ancestor& y) {
+    best = std::min<size_t>(best, x.up_edges + y.up_edges);
+  });
   return best;
 }
 
 size_t Taxonomy::UpEdges(ConceptId descendant, ConceptId ancestor) const {
-  if (descendant == ancestor) return 0;
-  std::unordered_map<ConceptId, size_t> dist;
-  std::deque<ConceptId> queue = {descendant};
-  dist[descendant] = 0;
-  while (!queue.empty()) {
-    ConceptId c = queue.front();
-    queue.pop_front();
-    for (ConceptId p : nodes_[c].parents) {
-      if (!dist.count(p)) {
-        dist[p] = dist[c] + 1;
-        if (p == ancestor) return dist[p];
-        queue.push_back(p);
-      }
-    }
-  }
-  return std::numeric_limits<size_t>::max();
+  const Ancestor* a = FindAncestor(descendant, ancestor);
+  return a != nullptr ? a->up_edges : std::numeric_limits<size_t>::max();
 }
 
 void Taxonomy::EnsureInformationContent() const {
-  if (ic_valid_) return;
+  if (ic_.valid.load(std::memory_order_acquire)) return;
+  MutexLock lock(ic_.mu);
+  if (ic_.valid.load(std::memory_order_relaxed)) return;
   // Subtree mass: each concept contributes its own frequency (or 1 under
   // the uniform fallback) to itself and every ancestor.
   uint64_t total_observed = 0;
@@ -312,30 +291,30 @@ void Taxonomy::EnsureInformationContent() const {
   for (ConceptId c = 0; c < nodes_.size(); ++c) {
     double own = uniform ? 1.0 : static_cast<double>(nodes_[c].frequency);
     if (own == 0.0) continue;
-    for (ConceptId anc : Ancestors(c)) mass[anc] += own;
+    for (const Ancestor& anc : nodes_[c].ancestors) mass[anc.id] += own;
   }
   double root_mass = mass[root()];
-  information_content_.assign(nodes_.size(), 0.0);
-  max_ic_ = 0.0;
+  ic_.values.assign(nodes_.size(), 0.0);
+  ic_.max = 0.0;
   for (ConceptId c = 0; c < nodes_.size(); ++c) {
     double p = (root_mass > 0.0) ? mass[c] / root_mass : 0.0;
     // Unobserved concepts get the maximal finite IC via Laplace-style
     // smoothing with half a count.
     if (p <= 0.0) p = 0.5 / (root_mass + 1.0);
-    information_content_[c] = -std::log(p);
-    max_ic_ = std::max(max_ic_, information_content_[c]);
+    ic_.values[c] = -std::log(p);
+    ic_.max = std::max(ic_.max, ic_.values[c]);
   }
-  ic_valid_ = true;
+  ic_.valid.store(true, std::memory_order_release);
 }
 
 double Taxonomy::InformationContent(ConceptId c) const {
   EnsureInformationContent();
-  return information_content_[c];
+  return ic_.values[c];
 }
 
 double Taxonomy::MaxInformationContent() const {
   EnsureInformationContent();
-  return max_ic_;
+  return ic_.max;
 }
 
 bool Taxonomy::AreAntonyms(ConceptId a, ConceptId b) const {
@@ -385,11 +364,20 @@ Status Taxonomy::Validate() const {
                        nodes_[c].name.c_str()));
     }
   }
-  // Acyclicity: every concept must reach the root.
+  // Closures: each concept's ancestor array is the one its parents'
+  // arrays give, and the root heads it, so every concept reaches the
+  // root.
   for (ConceptId c = 0; c < nodes_.size(); ++c) {
-    if (!IsAncestor(root(), c)) {
+    const std::vector<Ancestor>& up = nodes_[c].ancestors;
+    std::vector<Ancestor> expected = ClosureFromParents(c, nodes_[c].parents);
+    if (up.empty() || up.front().id != root() ||
+        !std::equal(up.begin(), up.end(), expected.begin(), expected.end(),
+                    [](const Ancestor& x, const Ancestor& y) {
+                      return x.id == y.id && x.up_edges == y.up_edges;
+                    })) {
       return Status::Corruption(StringPrintf(
-          "concept '%s' cannot reach the root", nodes_[c].name.c_str()));
+          "concept '%s' has a stale ancestor array",
+          nodes_[c].name.c_str()));
     }
   }
   // Antonym symmetry.

@@ -9,14 +9,15 @@
 #ifndef SEMTREE_ONTOLOGY_TAXONOMY_H_
 #define SEMTREE_ONTOLOGY_TAXONOMY_H_
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -34,7 +35,14 @@ inline constexpr ConceptId kInvalidConcept =
 /// (synonyms) resolve to their canonical concept. Antonymy is a symmetric
 /// relation between concepts (the paper's "antinomy").
 ///
-/// Not thread-safe for mutation; concurrent reads are safe once built.
+/// Every concept keeps its ancestor closure: an id-sorted array of
+/// (ancestor, fewest up-edges to it), itself included. Mutations keep
+/// the arrays current, so each structure query below is a lookup or a
+/// merge of two short arrays; none walks the graph, and none but
+/// Ancestors() allocates (DESIGN.md §13).
+///
+/// Not thread-safe for mutation; concurrent reads are safe once built,
+/// including the first reads after a mutation.
 class Taxonomy {
  public:
   /// Creates a taxonomy containing only the root concept.
@@ -112,11 +120,13 @@ class Taxonomy {
   /// (reflexive: a concept is its own ancestor).
   bool IsAncestor(ConceptId ancestor, ConceptId descendant) const;
 
-  /// All ancestors of `c`, inclusive of `c` itself.
+  /// All ancestors of `c`, inclusive of `c` itself, in id order (so the
+  /// root comes first).
   std::vector<ConceptId> Ancestors(ConceptId c) const;
 
   /// The deepest common ancestor of `a` and `b` (the "least common
-  /// subsumer"). Always exists because the taxonomy is rooted.
+  /// subsumer"), ties broken toward the smallest id. Always exists
+  /// because the taxonomy is rooted.
   ConceptId LowestCommonSubsumer(ConceptId a, ConceptId b) const;
 
   /// Number of IS-A edges on the shortest path between `a` and `b`
@@ -150,30 +160,70 @@ class Taxonomy {
   Status Validate() const;
 
  private:
+  /// One entry of a concept's ancestor closure.
+  struct Ancestor {
+    ConceptId id;
+    uint32_t up_edges;  ///< Fewest IS-A edges from the concept to `id`.
+  };
+
   struct Node {
     std::string name;
     std::vector<ConceptId> parents;
     std::vector<ConceptId> children;
     std::vector<ConceptId> antonyms;
     uint64_t frequency = 0;
+    std::vector<Ancestor> ancestors;  ///< Sorted by id; includes self.
   };
 
-  void InvalidateCaches();
-  void EnsureDepths() const;
+  /// Information content, built on first use after a mutation. The
+  /// first readers may arrive together, so the build runs under `mu`
+  /// and publishes with a release store of `valid`; a reader that sees
+  /// `valid` (acquire) reads `values`/`max` without the lock. Mutators
+  /// only clear `valid`: mutation never runs concurrently with reads.
+  /// A copy starts invalid and rebuilds on its own first use.
+  struct InformationContentCache {
+    InformationContentCache() = default;
+    InformationContentCache(const InformationContentCache&) {}
+    InformationContentCache& operator=(const InformationContentCache&) {
+      valid.store(false, std::memory_order_relaxed);
+      return *this;
+    }
+
+    Mutex mu;
+    std::atomic<bool> valid{false};
+    std::vector<double> values;  // Written under `mu` while !valid.
+    double max = 0.0;
+  };
+
+  /// Adds `above`'s entries, `edges` further away, to `closure`,
+  /// keeping id order and the fewest edges per id.
+  static void MergeAncestors(std::vector<Ancestor>* closure,
+                             const std::vector<Ancestor>& above,
+                             uint32_t edges);
+
+  /// The closure of a concept from its parents' closures: self at 0,
+  /// every parent's ancestors one edge further, fewest edges kept.
+  std::vector<Ancestor> ClosureFromParents(
+      ConceptId c, const std::vector<ConceptId>& parents) const;
+
+  /// The entry for `ancestor` in `descendant`'s closure (a binary
+  /// search), or nullptr when `ancestor` is not an ancestor.
+  const Ancestor* FindAncestor(ConceptId descendant,
+                               ConceptId ancestor) const;
+
+  /// Calls fn(entry in a's closure, entry in b's closure) for every
+  /// common ancestor of `a` and `b`, in id order: one merge walk.
+  template <typename Fn>
+  void ForEachCommonAncestor(ConceptId a, ConceptId b, Fn fn) const;
+
   void EnsureInformationContent() const;
   bool WouldCreateCycle(ConceptId child, ConceptId parent) const;
 
   std::vector<Node> nodes_;
   std::unordered_map<std::string, ConceptId> by_name_;
   std::unordered_map<std::string, ConceptId> aliases_;
-
-  // Lazily computed caches, invalidated on mutation.
-  mutable bool depths_valid_ = false;
-  mutable std::vector<uint32_t> depths_;
-  mutable size_t max_depth_ = 0;
-  mutable bool ic_valid_ = false;
-  mutable std::vector<double> information_content_;
-  mutable double max_ic_ = 0.0;
+  size_t max_depth_ = 0;
+  mutable InformationContentCache ic_;
 };
 
 }  // namespace semtree

@@ -20,21 +20,20 @@ Result<std::unique_ptr<SemanticIndex>> SemanticIndex::Build(
       options, std::move(distance), std::move(corpus)));
   const std::vector<Triple>& triples = index->corpus_;
 
-  // Train the FastMap embedding on the corpus.
-  IndexDistanceFn oracle;
-  CachingTripleDistance cached(index->distance_);
-  if (options.cache_element_distances) {
-    oracle = [&cached, &triples](size_t i, size_t j) {
-      return cached(triples[i], triples[j]);
-    };
-  } else {
-    oracle = [index = index.get(), &triples](size_t i, size_t j) {
-      return index->distance_(triples[i], triples[j]);
-    };
-  }
+  // Train the FastMap embedding on the corpus, resolved once.
+  const TripleDistance& distance_fn = index->distance_;
+  std::vector<PreparedTriple> prepared;
+  prepared.reserve(triples.size());
+  for (const Triple& t : triples) prepared.push_back(distance_fn.Prepare(t));
   SEMTREE_ASSIGN_OR_RETURN(
-      FastMap fm, FastMap::Train(triples.size(), oracle, options.fastmap));
-  index->fastmap_ = std::make_unique<FastMap>(std::move(fm));
+      FastMap fm,
+      FastMap::Train(
+          triples.size(),
+          [&distance_fn, &prepared](size_t i, size_t j) {
+            return distance_fn(prepared[i], prepared[j]);
+          },
+          options.fastmap));
+  index->SetFastMap(std::move(fm));
   SEMTREE_RETURN_NOT_OK(index->BuildTree());
   return index;
 }
@@ -54,7 +53,7 @@ Result<std::unique_ptr<SemanticIndex>> SemanticIndex::Restore(
       TripleDistance::Make(taxonomy, options.weights, options.element));
   std::unique_ptr<SemanticIndex> index(new SemanticIndex(
       options, std::move(distance), std::move(corpus)));
-  index->fastmap_ = std::make_unique<FastMap>(std::move(fastmap));
+  index->SetFastMap(std::move(fastmap));
   SEMTREE_RETURN_NOT_OK(index->BuildTree());
   return index;
 }
@@ -78,7 +77,7 @@ Result<std::unique_ptr<SemanticIndex>> SemanticIndex::RestoreWithTree(
       TripleDistance::Make(taxonomy, options.weights, options.element));
   std::unique_ptr<SemanticIndex> index(new SemanticIndex(
       options, std::move(distance), std::move(corpus)));
-  index->fastmap_ = std::make_unique<FastMap>(std::move(fastmap));
+  index->SetFastMap(std::move(fastmap));
   index->tree_ = std::move(tree);
   return index;
 }
@@ -106,9 +105,28 @@ Status SemanticIndex::BuildTree() {
       points, std::max<size_t>(1, options_.build_client_threads));
 }
 
+void SemanticIndex::SetFastMap(FastMap fastmap) {
+  fastmap_ = std::make_unique<FastMap>(std::move(fastmap));
+  std::vector<size_t> ids;
+  for (const auto& [a, b] : fastmap_->pivots()) ids.insert(ids.end(), {a, b});
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  pivots_.clear();
+  for (size_t i : ids) pivots_.emplace_back(i, distance_.Prepare(corpus_[i]));
+}
+
+const PreparedTriple& SemanticIndex::Pivot(size_t train_index) const {
+  // FastMap::Project asks only for pivot indices.
+  auto it = std::lower_bound(
+      pivots_.begin(), pivots_.end(), train_index,
+      [](const auto& entry, size_t i) { return entry.first < i; });
+  return it->second;
+}
+
 std::vector<double> SemanticIndex::Embed(const Triple& query) const {
-  return fastmap_->Project([this, &query](size_t train_index) {
-    return distance_(query, corpus_[train_index]);
+  const PreparedTriple prepared = distance_.Prepare(query);
+  return fastmap_->Project([this, &prepared](size_t train_index) {
+    return distance_(prepared, Pivot(train_index));
   });
 }
 

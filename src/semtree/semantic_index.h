@@ -64,10 +64,6 @@ struct SemanticIndexOptions {
   /// thread. Byte-identical trees across all values.
   size_t build_threads = 1;
 
-  /// Memoize element distances during FastMap training (recommended;
-  /// vocabularies are small so the hit rate is high).
-  bool cache_element_distances = true;
-
   /// Order hits by true semantic distance instead of embedded distance.
   bool rerank_by_semantic_distance = false;
 };
@@ -120,7 +116,9 @@ class SemanticIndex {
     return distance_(a, b);
   }
 
-  /// Projects a triple into the FastMap space of this index.
+  /// Projects a triple into the FastMap space of this index. Resolves
+  /// the query's terms once and compares it with the prepared pivots
+  /// only; safe to call from many threads at once.
   std::vector<double> Embed(const Triple& query) const;
 
   /// The configured Eq. (1) distance (element-level access included).
@@ -144,6 +142,13 @@ class SemanticIndex {
   std::vector<Hit> MakeHits(const Triple& query,
                             const std::vector<Neighbor>& neighbors) const;
 
+  /// Installs the trained embedding and prepares its pivot triples
+  /// (shared by Build, Restore and RestoreWithTree).
+  void SetFastMap(FastMap fastmap);
+
+  /// The prepared corpus triple at a pivot's training index.
+  const PreparedTriple& Pivot(size_t train_index) const;
+
   /// Stands up the SemTree over fastmap_'s coordinates (shared tail of
   /// Build and Restore).
   Status BuildTree();
@@ -152,6 +157,9 @@ class SemanticIndex {
   TripleDistance distance_;
   std::vector<Triple> corpus_;
   std::unique_ptr<FastMap> fastmap_;
+  /// (training index, prepared corpus triple) of every distinct pivot,
+  /// sorted by index. Points into corpus_, which never changes.
+  std::vector<std::pair<size_t, PreparedTriple>> pivots_;
   std::unique_ptr<SemTree> tree_;
 };
 

@@ -1,7 +1,11 @@
 // Copyright 2026 The SemTree Authors
 //
-// Tests for src/distance: Eq. (1) semantics, element dispatch, the
-// caching wrapper, distance matrices and the metric audit.
+// Tests for src/distance: Eq. (1) semantics, element dispatch,
+// prepared triples, distance matrices, concurrent first use of a fresh
+// vocabulary, and the metric audit.
+
+#include <cstring>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +15,7 @@
 #include "distance/triple_distance.h"
 #include "nlp/requirements_corpus.h"
 #include "ontology/requirements_vocabulary.h"
+#include "semtree/semantic_index.h"
 
 namespace semtree {
 namespace {
@@ -192,37 +197,18 @@ TEST_F(TripleDistanceTest, RangeAlwaysUnitInterval) {
 }
 
 // ---------------------------------------------------------------------
-// Caching wrapper
+// Prepared triples
 
-TEST_F(TripleDistanceTest, CachingAgreesWithBase) {
-  auto base = TripleDistance::Make(&vocab_);
-  ASSERT_TRUE(base.ok());
-  CachingTripleDistance cached(*base);
-  RequirementsCorpusGenerator gen(&vocab_, {.num_documents = 3,
-                                            .seed = 11});
-  auto triples = gen.GenerateTriples();
-  ASSERT_TRUE(triples.ok());
-  for (size_t i = 0; i < triples->size(); ++i) {
-    for (size_t j = i; j < triples->size(); j += 5) {
-      EXPECT_DOUBLE_EQ(cached((*triples)[i], (*triples)[j]),
-                       (*base)((*triples)[i], (*triples)[j]));
-    }
-  }
-  EXPECT_GT(cached.hits(), 0u);
-  EXPECT_GT(cached.misses(), 0u);
-}
-
-TEST_F(TripleDistanceTest, CachingIsSymmetric) {
-  auto base = TripleDistance::Make(&vocab_);
-  ASSERT_TRUE(base.ok());
-  CachingTripleDistance cached(*base);
-  Triple a = Req("OBSW001", "accept_cmd", "startup_cmd");
-  Triple b = Req("OBSW002", "block_cmd", "reset");
-  double ab = cached(a, b);
-  uint64_t misses = cached.misses();
-  double ba = cached(b, a);
-  EXPECT_DOUBLE_EQ(ab, ba);
-  EXPECT_EQ(cached.misses(), misses);  // Reverse order is all cache hits.
+TEST_F(TripleDistanceTest, PreparedResolvesConceptsOnce) {
+  auto dist = TripleDistance::Make(&vocab_);
+  ASSERT_TRUE(dist.ok());
+  const Triple t(Term::Literal("OBSW001"), Term::Concept("reject_cmd", "Fun"),
+                 Term::Concept("no_such_param", "Type"));
+  const PreparedTriple p = dist->Prepare(t);
+  EXPECT_EQ(p.subject.term, &t.subject);
+  EXPECT_EQ(p.subject.concept_id, kInvalidConcept);  // A literal.
+  EXPECT_EQ(p.predicate.concept_id, *vocab_.Find("block_cmd"));  // Alias.
+  EXPECT_EQ(p.object.concept_id, kInvalidConcept);  // Out of vocabulary.
 }
 
 // ---------------------------------------------------------------------
@@ -261,6 +247,75 @@ TEST_F(TripleDistanceTest, ParallelMatrixEqualsSequential) {
   for (size_t i = 0; i < seq.size(); ++i) {
     for (size_t j = 0; j < seq.size(); ++j) {
       EXPECT_DOUBLE_EQ(seq.At(i, j), par.At(i, j));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Concurrent first use. Reads of a taxonomy write nothing except the
+// information-content table, built on first use under a lock; these
+// tests make that first use concurrent (the suite runs under TSan).
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(DistanceConcurrencyTest, FreshVocabularyFirstUsedByFourThreads) {
+  const Taxonomy reference_vocab = RequirementsVocabulary();
+  RequirementsCorpusGenerator gen(&reference_vocab,
+                                  {.num_documents = 3, .seed = 29});
+  auto triples = gen.GenerateTriples();
+  ASSERT_TRUE(triples.ok());
+  for (SimilarityMeasure m :
+       {SimilarityMeasure::kWuPalmer, SimilarityMeasure::kResnik,
+        SimilarityMeasure::kLin}) {
+    SCOPED_TRACE(SimilarityMeasureName(m));
+    const Taxonomy fresh = RequirementsVocabulary();
+    auto serial = TripleDistance::Make(&reference_vocab, {},
+                                       {.concept_measure = m});
+    auto parallel = TripleDistance::Make(&fresh, {}, {.concept_measure = m});
+    ASSERT_TRUE(serial.ok() && parallel.ok());
+    DistanceMatrix got(*triples, *parallel, /*threads=*/4);
+    DistanceMatrix want(*triples, *serial, /*threads=*/1);
+    for (size_t i = 0; i < want.size(); ++i) {
+      for (size_t j = i + 1; j < want.size(); ++j) {
+        ASSERT_TRUE(SameBits(got.At(i, j), want.At(i, j))) << i << ' ' << j;
+      }
+    }
+  }
+}
+
+TEST(DistanceConcurrencyTest, FirstEmbedsAfterRestoreAreConcurrent) {
+  Taxonomy vocab = RequirementsVocabulary();
+  RequirementsCorpusGenerator gen(&vocab, {.num_documents = 10, .seed = 31});
+  auto corpus = gen.GenerateTriples();
+  ASSERT_TRUE(corpus.ok());
+  SemanticIndexOptions opts;
+  opts.fastmap.dimensions = 4;
+  opts.element.concept_measure = SimilarityMeasure::kLin;
+  auto built = SemanticIndex::Build(&vocab, *corpus, opts);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+
+  // Restore skips training, so the restored index's first Embeds are
+  // the first reads of its fresh vocabulary.
+  const Taxonomy fresh = RequirementsVocabulary();
+  auto restored =
+      SemanticIndex::Restore(&fresh, *corpus, (*built)->fastmap(), opts);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<std::vector<double>>> got(kThreads);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kThreads; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t i = c; i < corpus->size(); i += kThreads) {
+        got[c].push_back((*restored)->Embed((*corpus)[i]));
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (size_t c = 0; c < kThreads; ++c) {
+    for (size_t k = 0; k < got[c].size(); ++k) {
+      EXPECT_EQ(got[c][k], (*built)->Embed((*corpus)[c + k * kThreads]));
     }
   }
 }

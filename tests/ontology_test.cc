@@ -1,14 +1,26 @@
 // Copyright 2026 The SemTree Authors
 //
 // Tests for src/ontology: taxonomy structure, similarity measures,
-// vocabulary IO, and the built-in vocabularies.
+// vocabulary IO, the built-in vocabularies, and the ancestor-closure
+// arrays checked against a breadth-first reference on every concept
+// pair.
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <deque>
+#include <limits>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "distance/element_distance.h"
 #include "ontology/requirements_vocabulary.h"
 #include "ontology/similarity.h"
 #include "ontology/taxonomy.h"
 #include "ontology/vocabulary_io.h"
+#include "random_taxonomy.h"
 
 namespace semtree {
 namespace {
@@ -321,6 +333,256 @@ TEST(VocabularyIoTest, FileRoundTrip) {
   EXPECT_TRUE(LoadVocabularyFile("/nonexistent/vocab.txt")
                   .status()
                   .IsNotFound());
+}
+
+// ---------------------------------------------------------------------
+// Ancestor closures against a brute-force breadth-first reference
+
+constexpr size_t kUnreachable = std::numeric_limits<size_t>::max();
+
+// Recomputes every structure query from the parent edges alone: one
+// breadth-first walk up from each concept.
+class BfsReference {
+ public:
+  explicit BfsReference(const Taxonomy& tax) : n_(tax.size()) {
+    up_.assign(n_, std::vector<size_t>(n_, kUnreachable));
+    for (ConceptId c = 0; c < n_; ++c) {
+      std::deque<ConceptId> queue = {c};
+      up_[c][c] = 0;
+      while (!queue.empty()) {
+        ConceptId cur = queue.front();
+        queue.pop_front();
+        for (ConceptId p : tax.parents(cur)) {
+          if (up_[c][p] == kUnreachable) {
+            up_[c][p] = up_[c][cur] + 1;
+            queue.push_back(p);
+          }
+        }
+      }
+      max_depth_ = std::max(max_depth_, Depth(c));
+    }
+    // Information content, summed in the same order as the taxonomy
+    // (concepts ascending) so the doubles must agree bit for bit.
+    uint64_t total = 0;
+    for (ConceptId c = 0; c < n_; ++c) total += tax.frequency(c);
+    std::vector<double> mass(n_, 0.0);
+    for (ConceptId c = 0; c < n_; ++c) {
+      double own = total == 0 ? 1.0 : static_cast<double>(tax.frequency(c));
+      if (own == 0.0) continue;
+      for (ConceptId x = 0; x < n_; ++x) {
+        if (up_[c][x] != kUnreachable) mass[x] += own;
+      }
+    }
+    ic_.assign(n_, 0.0);
+    for (ConceptId c = 0; c < n_; ++c) {
+      double p = mass[0] > 0.0 ? mass[c] / mass[0] : 0.0;
+      if (p <= 0.0) p = 0.5 / (mass[0] + 1.0);
+      ic_[c] = -std::log(p);
+      max_ic_ = std::max(max_ic_, ic_[c]);
+    }
+  }
+
+  size_t Depth(ConceptId c) const { return up_[c][0]; }
+  size_t MaxDepth() const { return max_depth_; }
+  size_t UpEdges(ConceptId d, ConceptId a) const { return up_[d][a]; }
+  bool IsAncestor(ConceptId a, ConceptId d) const {
+    return up_[d][a] != kUnreachable;
+  }
+  std::vector<ConceptId> Ancestors(ConceptId c) const {
+    std::vector<ConceptId> out;
+    for (ConceptId x = 0; x < n_; ++x) {
+      if (IsAncestor(x, c)) out.push_back(x);
+    }
+    return out;
+  }
+  // Deepest common ancestor; ties go to the smallest id.
+  ConceptId Lcs(ConceptId a, ConceptId b) const {
+    ConceptId best = 0;
+    for (ConceptId x = 0; x < n_; ++x) {
+      if (IsAncestor(x, a) && IsAncestor(x, b) && Depth(x) > Depth(best)) {
+        best = x;
+      }
+    }
+    return best;
+  }
+  size_t ShortestPath(ConceptId a, ConceptId b) const {
+    size_t best = kUnreachable;
+    for (ConceptId x = 0; x < n_; ++x) {
+      if (IsAncestor(x, a) && IsAncestor(x, b)) {
+        best = std::min(best, up_[a][x] + up_[b][x]);
+      }
+    }
+    return best;
+  }
+  double Ic(ConceptId c) const { return ic_[c]; }
+  double MaxIc() const { return max_ic_; }
+
+  // The five measures, written out from their definitions in
+  // ontology/similarity.h.
+  double Similarity(SimilarityMeasure m, ConceptId a, ConceptId b) const {
+    switch (m) {
+      case SimilarityMeasure::kWuPalmer: {
+        if (a == b) return 1.0;
+        ConceptId lcs = Lcs(a, b);
+        double n1 = static_cast<double>(UpEdges(a, lcs));
+        double n2 = static_cast<double>(UpEdges(b, lcs));
+        double n3 = static_cast<double>(Depth(lcs)) + 1.0;
+        return 2.0 * n3 / (n1 + n2 + 2.0 * n3);
+      }
+      case SimilarityMeasure::kPath:
+        return 1.0 / (1.0 + static_cast<double>(ShortestPath(a, b)));
+      case SimilarityMeasure::kLeacockChodorow: {
+        double depth = static_cast<double>(std::max<size_t>(max_depth_, 1));
+        double len = static_cast<double>(ShortestPath(a, b)) + 1.0;
+        double raw = -std::log(len / (2.0 * depth));
+        double max_raw = -std::log(1.0 / (2.0 * depth));
+        if (max_raw <= 0.0) return a == b ? 1.0 : 0.0;
+        return std::clamp(raw / max_raw, 0.0, 1.0);
+      }
+      case SimilarityMeasure::kResnik:
+        if (a == b) return 1.0;
+        if (max_ic_ <= 0.0) return 0.0;
+        return std::clamp(ic_[Lcs(a, b)] / max_ic_, 0.0, 1.0);
+      case SimilarityMeasure::kLin: {
+        if (a == b) return 1.0;
+        double denom = ic_[a] + ic_[b];
+        if (denom <= 0.0) return 1.0;
+        return std::clamp(2.0 * ic_[Lcs(a, b)] / denom, 0.0, 1.0);
+      }
+    }
+    return 0.0;
+  }
+
+ private:
+  size_t n_;
+  std::vector<std::vector<size_t>> up_;  // up_[c][x]: edges c -> x.
+  size_t max_depth_ = 0;
+  std::vector<double> ic_;
+  double max_ic_ = 0.0;
+};
+
+constexpr SimilarityMeasure kAllMeasures[] = {
+    SimilarityMeasure::kWuPalmer, SimilarityMeasure::kPath,
+    SimilarityMeasure::kLeacockChodorow, SimilarityMeasure::kResnik,
+    SimilarityMeasure::kLin};
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Every structure query and every measure on every concept pair.
+void ExpectMatchesReference(const Taxonomy& tax) {
+  ASSERT_TRUE(tax.Validate().ok());
+  const BfsReference ref(tax);
+  ASSERT_EQ(tax.MaxDepth(), ref.MaxDepth());
+  ASSERT_TRUE(SameBits(tax.MaxInformationContent(), ref.MaxIc()));
+  for (ConceptId a = 0; a < tax.size(); ++a) {
+    ASSERT_EQ(tax.Depth(a), ref.Depth(a)) << a;
+    ASSERT_EQ(tax.Ancestors(a), ref.Ancestors(a)) << a;
+    ASSERT_TRUE(SameBits(tax.InformationContent(a), ref.Ic(a))) << a;
+    for (ConceptId b = 0; b < tax.size(); ++b) {
+      ASSERT_EQ(tax.IsAncestor(a, b), ref.IsAncestor(a, b)) << a << ' ' << b;
+      ASSERT_EQ(tax.UpEdges(a, b), ref.UpEdges(a, b)) << a << ' ' << b;
+      ASSERT_EQ(tax.LowestCommonSubsumer(a, b), ref.Lcs(a, b))
+          << a << ' ' << b;
+      ASSERT_EQ(tax.ShortestPathEdges(a, b), ref.ShortestPath(a, b))
+          << a << ' ' << b;
+      for (SimilarityMeasure m : kAllMeasures) {
+        ASSERT_TRUE(SameBits(ConceptSimilarity(m, tax, a, b),
+                             ref.Similarity(m, a, b)))
+            << SimilarityMeasureName(m) << ' ' << a << ' ' << b;
+      }
+    }
+  }
+}
+
+TEST(AncestorClosureTest, RequirementsVocabularyMatchesReference) {
+  ExpectMatchesReference(RequirementsVocabulary());
+}
+
+TEST(AncestorClosureTest, MiniWordNetMatchesReference) {
+  ExpectMatchesReference(MiniWordNet());
+}
+
+TEST(AncestorClosureTest, RandomTaxonomiesMatchReference) {
+  for (uint64_t seed : {11, 22, 33, 44, 55}) {
+    SCOPED_TRACE(seed);
+    ExpectMatchesReference(RandomTaxonomy(120, seed));
+  }
+}
+
+TEST(AncestorClosureTest, ObservedFrequenciesMatchReference) {
+  Taxonomy tax = RandomTaxonomy(120, 66);
+  Rng rng(67);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(
+        tax.AddFrequency(ConceptId(rng.Uniform(tax.size())), 1 + rng.Uniform(50))
+            .ok());
+  }
+  ExpectMatchesReference(tax);
+}
+
+// Extra parents added after the child already has descendants: depths
+// shrink below the child, and every descendant's closure must follow.
+TEST(AncestorClosureTest, LateParentEdgesRebuildDescendants) {
+  for (uint64_t seed : {11, 22, 33}) {
+    SCOPED_TRACE(seed);
+    Taxonomy tax = RandomTaxonomy(120, seed);
+    std::vector<size_t> before(tax.size());
+    for (ConceptId c = 0; c < tax.size(); ++c) before[c] = tax.Depth(c);
+    Rng rng(seed + 7);
+    size_t added = 0;
+    for (int attempt = 0; added < 15 && attempt < 100000; ++attempt) {
+      // A child with descendants under a new, shallower parent.
+      ConceptId child = ConceptId(1 + rng.Uniform(tax.size() - 1));
+      ConceptId parent = ConceptId(rng.Uniform(tax.size()));
+      if (tax.children(child).empty() ||
+          tax.Depth(parent) + 1 >= tax.Depth(child)) {
+        continue;
+      }
+      Status st = tax.AddParent(child, parent);
+      if (st.IsFailedPrecondition() || st.IsAlreadyExists()) continue;
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      if (++added % 5 == 0) ExpectMatchesReference(tax);
+    }
+    ASSERT_EQ(added, 15u);
+    size_t shrunk = 0;
+    for (ConceptId c = 0; c < tax.size(); ++c) {
+      EXPECT_LE(tax.Depth(c), before[c]);
+      shrunk += tax.Depth(c) < before[c] && tax.children(c).empty();
+    }
+    EXPECT_GT(shrunk, 0u) << "no leaf below a new edge got shallower";
+  }
+}
+
+// A synonym resolves to its canonical concept, so a term spelled with
+// either name is the same distance from every other concept.
+TEST(AncestorClosureTest, SynonymsMeasureLikeTheirCanonicalConcept) {
+  Taxonomy tax = RandomTaxonomy(120, 77);
+  for (ConceptId c = 1; c < tax.size(); c += 9) {
+    ASSERT_TRUE(tax.AddSynonym("alias" + std::to_string(c), c).ok());
+  }
+  const Taxonomy vocab = RequirementsVocabulary();
+  for (const Taxonomy* t : {&std::as_const(tax), &vocab}) {
+    ASSERT_FALSE(t->Synonyms().empty());
+    const BfsReference ref(*t);
+    for (SimilarityMeasure m : kAllMeasures) {
+      ElementDistance element(t, {.concept_measure = m});
+      for (const auto& [alias, canonical] : t->Synonyms()) {
+        const Term by_alias = Term::Concept(alias);
+        const Term by_name = Term::Concept(t->name(canonical));
+        EXPECT_EQ(element(by_alias, by_name), 0.0) << alias;
+        for (ConceptId other = 0; other < t->size(); other += 5) {
+          const Term o = Term::Concept(t->name(other));
+          const double d = element(by_name, o);
+          EXPECT_TRUE(SameBits(element(by_alias, o), d))
+              << alias << ' ' << t->name(other);
+          EXPECT_TRUE(SameBits(d, 1.0 - ref.Similarity(m, canonical, other)))
+              << alias << ' ' << t->name(other);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "ontology/vocabulary_io.h"
 #include "rdf/turtle.h"
 #include "semtree/semtree.h"
+#include "random_taxonomy.h"
 
 namespace semtree {
 namespace {
@@ -162,27 +163,6 @@ TEST(ClusterStressTest, ShutdownDuringTraffic) {
 
 // ---------------------------------------------------------------------
 // Random-taxonomy property sweep for the similarity measures
-
-Taxonomy RandomTaxonomy(size_t concepts, uint64_t seed) {
-  Taxonomy tax;
-  Rng rng(seed);
-  for (size_t i = 0; i < concepts; ++i) {
-    std::string name = "c" + std::to_string(i);
-    // Parent drawn from already-created concepts (biased toward the
-    // shallow ones for a bushy DAG).
-    std::vector<std::string> parents;
-    if (i > 0) {
-      parents.push_back("c" + std::to_string(rng.Uniform(i)));
-      if (i > 4 && rng.Bernoulli(0.2)) {
-        parents.push_back("c" + std::to_string(rng.Uniform(i)));
-      }
-    }
-    auto added = tax.AddConcept(name, parents);
-    EXPECT_TRUE(added.ok());
-  }
-  EXPECT_TRUE(tax.Validate().ok());
-  return tax;
-}
 
 class RandomTaxonomyProperty : public ::testing::TestWithParam<uint64_t> {};
 
