@@ -2,8 +2,8 @@
 //
 // QueryEngine throughput: queries/sec as the engine's worker-thread
 // count grows, over a sequential backend and over the distributed
-// SemTree (where each worker ships its span as one coalesced protocol
-// run), plus the result-cache hit rate on a repeated-query workload.
+// SemTree (where each worker hands its span to one BatchSearch call),
+// plus the result-cache hit rate on a repeated-query workload.
 // `--smoke` shrinks the corpus and repetitions so CI can keep the
 // binary honest without burning minutes.
 
@@ -109,7 +109,7 @@ void Run(bool smoke) {
     MeasureQps(&engine, cfg, pool, "kdtree_qps", threads);
   }
 
-  // Distributed target: one coalesced protocol run per worker span.
+  // Distributed target: one BatchSearch call per worker span.
   for (size_t threads : {1u, 2u, 4u}) {
     SemTreeOptions topts;
     topts.dimensions = cfg.dims;

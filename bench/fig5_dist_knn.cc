@@ -2,7 +2,8 @@
 //
 // Figure 5 reproduction: "K-nearest time (K=3)" on the distributed
 // SemTree when varying the number of partitions (1, 3, 5, 9 — the
-// paper's series) and the tree size.
+// paper's series) and the tree size, with each query's own message
+// count (request, forwards, response).
 
 #include <algorithm>
 
@@ -21,7 +22,7 @@ constexpr auto kLatency = std::chrono::microseconds(20);
 
 void Run() {
   PrintHeader(kFigure, "Distributed K-Nearest Time, K=3",
-              "points,query_us,partitions_used");
+              "points,query_us,partitions_used,msgs_per_query");
   const size_t kSizes[] = {5000, 10000, 25000, 50000};
   for (size_t n : kSizes) {
     Workload workload = MakeWorkload(n);
@@ -42,10 +43,13 @@ void Run() {
       for (const auto& q : queries) (void)(*tree)->KnnSearch(q, kK);
       Stopwatch sw;
       size_t guard = 0;
+      uint64_t messages = 0;
       for (const auto& q : queries) {
-        auto hits = (*tree)->KnnSearch(q, kK);
+        DistributedSearchStats stats;
+        auto hits = (*tree)->KnnSearch(q, kK, &stats);
         if (!hits.ok()) std::abort();
         guard += hits->size();
+        messages += stats.messages;
       }
       double micros = sw.ElapsedMicros() / double(queries.size());
       if (guard == 0) std::abort();
@@ -53,7 +57,8 @@ void Run() {
                std::to_string(partitions) +
                    (partitions == 1 ? " partition" : " partitions"),
                double(n), micros,
-               std::to_string((*tree)->PartitionCount()));
+               std::to_string((*tree)->PartitionCount()) + "," +
+                   std::to_string(double(messages) / kQueries));
     }
   }
 }

@@ -81,10 +81,11 @@ class Cluster {
     size_t approx_bytes = 64;
   };
 
-  /// Issues one RPC per entry and returns the futures in order. This is
-  /// the fan-out primitive of the coalesced batch protocol: a handler
-  /// groups sub-work by target partition and ships each group as a
-  /// single message instead of one RPC per query.
+  /// Issues one RPC per entry and returns the futures in order: the
+  /// fan-out primitive of a client that keeps many requests in flight
+  /// (SemTree's search loop, snapshot save). Waiting on the futures
+  /// belongs to the caller; a handler that waited on them would park
+  /// its worker (compute_node.h).
   std::vector<std::future<Payload>> CallAll(std::vector<OutboundCall> calls,
                                             NodeId from = kClientNode);
 

@@ -40,8 +40,10 @@ void ComputeNode::WorkerLoop() {
                            << msg.type;
       continue;
     }
-    it->second(msg);
+    // Count before dispatching: the handler may answer its caller, who
+    // must then see this message counted.
     processed_.fetch_add(1, std::memory_order_relaxed);
+    it->second(msg);
   }
 }
 

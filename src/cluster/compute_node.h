@@ -24,9 +24,12 @@ class Cluster;
 ///
 /// Handlers run on the node's single worker thread, so all state owned
 /// by the node (e.g. its partition) is mutated serially without locks.
-/// Handlers may issue nested Cluster::Call RPCs; the SemTree protocol
-/// only calls "down" the partition tree, so such chains cannot
-/// deadlock.
+/// A handler that waits on a nested Cluster::Call parks this worker
+/// until the callee answers, so such waits must never form a cycle.
+/// SemTree keeps exactly one: build-partition waits on AdoptLeaf calls
+/// to freshly created partitions, whose handler calls nobody. Searches
+/// forward their work item or hand subtrees back to the caller, and
+/// never wait.
 class ComputeNode {
  public:
   using Handler = std::function<void(const Message&)>;
@@ -52,7 +55,9 @@ class ComputeNode {
   /// Enqueues a message for this node (called by the Cluster).
   void Deliver(Message msg);
 
-  /// Messages processed so far (for stats).
+  /// Messages dispatched to a handler so far (for stats). A message is
+  /// counted before its handler runs, so a caller whose call has been
+  /// answered always sees it counted.
   uint64_t processed() const {
     return processed_.load(std::memory_order_relaxed);
   }

@@ -1,11 +1,12 @@
 // Copyright 2026 The SemTree Authors
 //
 // SpatialQuery: one element of a mixed query batch. The QueryEngine
-// (engine/query_engine.h) and the coalesced distributed batch protocol
-// (SemTree::BatchSearch) both consume vectors of these, so the type
-// lives in core/ below either consumer. A query is either k-NN
-// (`k` is meaningful) or range (`radius` is meaningful); results follow
-// the canonical (distance, id) ordering of core/point.h either way.
+// (engine/query_engine.h) and the distributed tree's search loop
+// (SemTree::BatchSearch, which also serves its single-query searches)
+// both consume these, so the type lives in core/ below either consumer.
+// A query is either k-NN (`k` is meaningful) or range (`radius` is
+// meaningful); results follow the canonical (distance, id) ordering of
+// core/point.h either way.
 //
 // SearchBudget is the approximate-search contract (DESIGN.md §6): a
 // per-query cap on search work plus an epsilon slack on the pruning

@@ -221,8 +221,8 @@ Status QueryEngine::RunDistributedSpan(
   uint64_t ep = tree_epoch_.load(std::memory_order_acquire) +
                 tree_->rebalance_epoch();
 
-  // Probe the cache first; only the misses ship as this worker's
-  // coalesced protocol run.
+  // Probe the cache first; only the misses go to the tree, all in one
+  // BatchSearch call that keeps them in flight together.
   std::vector<size_t> miss;
   miss.reserve(hi - lo);
   for (size_t i = lo; i < hi; ++i) {
@@ -259,8 +259,8 @@ Status QueryEngine::RunDistributedSpan(
     }
   }
 
-  // One protocol run answers the whole span, so each query is charged
-  // the span's wall time (see QueryOutcome::latency_us).
+  // One BatchSearch call answers the whole span, so each query is
+  // charged the span's wall time (see QueryOutcome::latency_us).
   double span_us = sw.ElapsedMicros();
   for (size_t i = lo; i < hi; ++i) {
     (*outcomes)[i].latency_us = span_us;

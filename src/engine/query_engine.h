@@ -7,9 +7,10 @@
 // work and latency percentiles. Two targets are supported behind the
 // same API: any sequential SpatialIndex backend (queries run on worker
 // threads under a reader lock, mutations take the writer lock), and the
-// distributed SemTree (each worker ships its share of the batch as one
-// coalesced BatchSearch protocol run). Batched results are identical to
-// issuing every query sequentially against the target.
+// distributed SemTree (each worker hands its share's cache misses to
+// one BatchSearch call, which keeps them all in flight at once as
+// separate work items). Batched results are identical to issuing every
+// query sequentially against the target.
 
 #ifndef SEMTREE_ENGINE_QUERY_ENGINE_H_
 #define SEMTREE_ENGINE_QUERY_ENGINE_H_

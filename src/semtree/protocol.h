@@ -27,15 +27,13 @@ namespace protocol {
 
 // Message types of the SemTree protocol.
 constexpr uint32_t kInsertMsg = 1;
-constexpr uint32_t kKnnMsg = 2;
-constexpr uint32_t kRangeMsg = 3;
+constexpr uint32_t kSearchMsg = 2;
 constexpr uint32_t kBuildPartitionMsg = 4;
 constexpr uint32_t kAdoptLeafMsg = 5;
 constexpr uint32_t kStatsMsg = 6;
 constexpr uint32_t kRemoveMsg = 7;
 constexpr uint32_t kBulkBuildMsg = 8;
 constexpr uint32_t kInstallTopologyMsg = 9;
-constexpr uint32_t kBatchMsg = 10;
 constexpr uint32_t kSnapshotMsg = 11;
 constexpr uint32_t kRestoreMsg = 12;
 // Online rebalancing (DESIGN.md §12).
@@ -72,9 +70,10 @@ struct RemoveResponse {
 
 // Budget accounting that travels inside a search work item: the caps
 // (SearchBudget, core/query.h) plus the work already spent across
-// every partition the item visited, so the cap is global to the
-// query, not reset per hop. Mirrors core/best_first.h's BudgetGauge
-// for the message-passing traversal.
+// every partition the item visited, so a k-NN cap is global to the
+// query, not reset per hop; a range item walks one partition subtree,
+// so its cap is that subtree's. Mirrors core/best_first.h's
+// BudgetGauge for the message-passing traversal.
 struct TravelBudget {
   SearchBudget budget;
   uint64_t nodes = 0;
@@ -90,17 +89,8 @@ struct TravelBudget {
     ++nodes;
     return true;
   }
-  bool ChargeDistance() {
-    if (budget.max_distance_computations != 0 &&
-        points >= budget.max_distance_computations) {
-      truncated = true;
-      return false;
-    }
-    ++points;
-    return true;
-  }
-  // Bulk grant for batched leaf scans — same accounting as `want`
-  // ChargeDistance calls (mirrors BudgetGauge::ChargeDistances).
+  // Bulk grant for batched leaf scans — the same accounting as charging
+  // `want` distances one by one (mirrors BudgetGauge::ChargeDistances).
   size_t ChargeDistances(size_t want) {
     size_t granted = want;
     if (budget.max_distance_computations != 0) {
@@ -128,40 +118,39 @@ enum class VisitStatus : uint8_t {
   kAllVisited = 2,
 };
 
-// One pending node of the forward/backward visit. The frame stack
-// travels inside the message, so any partition can continue the
-// traversal and no compute node ever blocks on another (the protocol
-// is "basically the same as the one described in the insertion
-// algorithm": forwarding).
+// One pending node of a search: a frame of the k-NN forward/backward
+// visit (Table I), or a node a range search has still to expand (status
+// unused).
 struct KnnFrame {
   int32_t partition = -1;
   int32_t node = -1;
   VisitStatus status = VisitStatus::kNotVisited;
 };
 
-struct KnnRequest {
+// The work item of the one search protocol (kSearchMsg). The whole
+// traversal state travels inside it, so any partition can continue it:
+//  * k-NN (§III-B.3): the item is *forwarded* to whichever partition
+//    hosts its top frame, like an insertion, and the partition where
+//    the stack drains answers the caller. No compute node blocks on
+//    another, so concurrent queries pipeline.
+//  * Range (§III-B.4): the item walks one partition subtree. Each
+//    remote child it reaches is handed back in `remote`, and the caller
+//    re-issues those subtrees in parallel as fresh items, each with its
+//    own budget (per partition subtree metering, semtree.h).
+// The handler answers with the item itself.
+struct SearchItem {
+  uint32_t slot = 0;  // Position in the caller's batch.
+  QueryType type = QueryType::kKnn;
   std::vector<double> query;
-  size_t k = 0;                 // K of Table I.
+  size_t k = 0;                 // K of Table I (k-NN only).
+  double radius = 0.0;          // D of §III-B.4 (range only).
   TravelBudget tb;              // Budget + spent counters, hop to hop.
-  std::vector<Neighbor> rs;     // Result set Rs (max-heap on distance D).
-  std::vector<KnnFrame> stack;  // Pending nodes with their status S.
+  std::vector<Neighbor> rs;     // k-NN: max-heap Rs; range: members.
+  std::vector<KnnFrame> stack;  // Pending nodes, root-side at the bottom.
+  std::vector<ChildRef> remote;  // Range: subtrees for the caller.
+  // Handler activations. Each was brought by one message, the request
+  // or a forward, so the item cost this count plus its response.
   size_t partitions_visited = 0;
-};
-struct KnnResponse {
-  std::vector<Neighbor> rs;
-  size_t partitions_visited = 0;
-  bool truncated = false;
-};
-struct RangeRequest {
-  int32_t start_node = 0;
-  std::vector<double> query;
-  double radius = 0.0;
-  SearchBudget budget;  // Enforced per partition subtree (semtree.h).
-};
-struct RangeResponse {
-  std::vector<Neighbor> results;
-  size_t partitions_visited = 0;
-  bool truncated = false;
 };
 struct BuildPartitionRequest {};
 struct BuildPartitionResponse {
@@ -232,40 +221,16 @@ struct RestoreResponse {
   std::string error;
 };
 
-// One query of a coalesced batch (BatchSearch), carrying its in-flight
-// traversal state so any partition can continue it. k-NN items reuse
-// the Table-I frame machinery of KnnRequest; range items use the same
-// stack with the status field unused (a routing node is expanded once,
-// pushing every child the radius condition admits).
-struct BatchItem {
-  uint32_t slot = 0;  // Position in the client's batch.
-  QueryType type = QueryType::kKnn;
-  std::vector<double> query;
-  size_t k = 0;
-  double radius = 0.0;
-  TravelBudget tb;              // Budget + spent counters, hop to hop.
-  std::vector<Neighbor> rs;     // k-NN: max-heap; range: accumulator.
-  std::vector<KnnFrame> stack;  // Pending nodes, root-side at the bottom.
-};
-struct BatchRequest {
-  std::vector<BatchItem> items;
-};
-struct BatchResponse {
-  std::vector<BatchItem> items;
-  size_t partitions_visited = 0;  // Handler activations, all partitions.
-};
-
 // ---- Rebalance protocol (DESIGN.md §12) ----
 //
 // All rebalance requests are issued by the client-side coordinator
 // (SemTree::RebalanceTick), never from inside a handler, so they add
 // no nested-call edges to the partition DAG and cannot deadlock.
 
-// Source-side split: drain the fully-local subtree under `root`, cut
+// Source-side split: copy the fully-local subtree under `root`, cut
 // its points with ChooseSplitForPolicy, and return the two halves as
-// contiguous blocks. On success the subtree is detached (descendants
-// dead, `root` an empty leaf) and the partition's point accounting is
-// already adjusted; on failure nothing is mutated.
+// contiguous blocks. Nothing is mutated: the subtree keeps serving
+// until the install drains it.
 struct SplitRequest {
   int32_t root = -1;
   SplitPolicy policy = SplitPolicy::kMedian;
@@ -344,10 +309,10 @@ struct EdgesResponse {
   std::vector<EdgeInfo> edges;
 };
 
-// Final step of a split: convert the drained (empty-leaf) root into a
-// routing node over the two adopted halves. Points inserted into the
-// leaf between the split drain and this install are returned as
-// `strands` for client-side re-insertion.
+// Final step of a split: drain the subtree under `node` and convert
+// `node` into a routing node over the two adopted halves, in one
+// activation. The drained points come back so the coordinator can
+// reconcile the writes that landed since the copy.
 struct InstallSplitRequest {
   int32_t node = -1;
   uint32_t split_dim = 0;
@@ -358,24 +323,18 @@ struct InstallSplitRequest {
 struct InstallSplitResponse {
   bool ok = false;
   std::string error;
-  PointBlock strands;
+  PointBlock points;  // The drained subtree's points.
 };
 
 inline size_t PointBytes(size_t dims) { return dims * sizeof(double) + 16; }
-inline size_t NeighborBytes(size_t n) {
-  return n * sizeof(Neighbor) + 16;
-}
 
-inline size_t BatchItemBytes(const BatchItem& item) {
+// Approximate wire size of a search item, for its request, forwards
+// and response alike.
+inline size_t SearchItemBytes(const SearchItem& item) {
   return item.query.size() * sizeof(double) +
          item.rs.size() * sizeof(Neighbor) +
-         item.stack.size() * sizeof(KnnFrame) + 32;
-}
-
-inline size_t BatchBytes(const std::vector<BatchItem>& items) {
-  size_t bytes = 32;
-  for (const BatchItem& item : items) bytes += BatchItemBytes(item);
-  return bytes;
+         item.stack.size() * sizeof(KnnFrame) +
+         item.remote.size() * sizeof(ChildRef) + 32;
 }
 
 }  // namespace protocol

@@ -6,11 +6,11 @@
 // by a background thread): it reads the decayed per-partition load
 // counters over the stats protocol and performs at most ONE structural
 // action per tick —
-//   * split:   the hottest overloaded partition drains its largest
-//              fully-local subtree, the points are cut with
+//   * split:   the hottest overloaded partition copies its largest
+//              fully-local subtree, the copy is cut with
 //              ChooseSplitForPolicy and shipped as two PointBlocks to
-//              idle seats, and the drained root becomes a routing node
-//              over the two new remote halves;
+//              idle seats, and only then is the subtree drained and its
+//              root turned into a routing node over the two new halves;
 //   * merge:   the coldest underloaded partition is folded back into
 //              the partitions that point at it (subtree by subtree),
 //              its seat returned to the free pool;
@@ -24,18 +24,25 @@
 // captured across a rewrite hit dead/out-of-range nodes and are
 // dropped (queries) or answered `stale` (inserts/removes, which retry
 // from the root). Points that arrive in a window between drain and
-// publish are collected as strands and re-inserted by the coordinator.
+// publish are collected as strands and re-inserted by the coordinator;
+// a split reconciles the writes that land between its copy and its
+// install the same way.
 //
 // Deadlock-freedom: rebalance RPCs are only ever issued from the
 // coordinator thread, never from inside a handler, so they add no
-// nested-call edges; and every routing edge keeps pointing from a
-// lower to a higher partition id (split targets are allocated above
-// the source, merges fold into a parent, migration targets must sit
-// between the partition's parents and children), preserving the
-// invariant the batch protocol's nested calls rely on.
+// nested-call edges. (No search handler waits either; the one handler
+// that does is build-partition, whose AdoptLeaf callees call nobody.)
+//
+// Seat order: every routing edge keeps pointing from a lower to a
+// higher partition id (split targets are allocated above the source,
+// merges fold into a parent, migration targets must sit between the
+// partition's parents and children). Deadlock freedom does not need
+// this; it is kept because it decides which seats a split lands on,
+// and so the layout the rebalancer leaves (DESIGN.md §12).
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 
 #include "common/logging.h"
@@ -90,6 +97,30 @@ PointBlock GatherSlots(const PointStore& store,
   return block;
 }
 
+// The rows of `a` that `b` lacks, matching rows by id and coordinates
+// as multisets.
+PointBlock RowsMissingFrom(const PointBlock& a, const PointBlock& b) {
+  auto less = [&](const PointView& x, const PointView& y) {
+    if (x.id != y.id) return x.id < y.id;
+    return std::lexicographical_compare(x.coords, x.coords + x.dim,
+                                        y.coords, y.coords + y.dim);
+  };
+  auto sorted = [&](const PointBlock& block) {
+    std::vector<PointView> rows;
+    for (size_t i = 0; i < block.size(); ++i) rows.push_back(block.View(i));
+    std::sort(rows.begin(), rows.end(), less);
+    return rows;
+  };
+  const std::vector<PointView> ra = sorted(a);
+  const std::vector<PointView> rb = sorted(b);
+  std::vector<PointView> only;
+  std::set_difference(ra.begin(), ra.end(), rb.begin(), rb.end(),
+                      std::back_inserter(only), less);
+  PointBlock out(a.dimensions);
+  for (const PointView& v : only) out.Append(v.coords, v.id);
+  return out;
+}
+
 }  // namespace
 
 // --------------------------------------------------------------------
@@ -136,8 +167,9 @@ void SemTree::HandleSplit(Partition* p, const Message& msg) {
       p->node(req.root).is_dead) {
     return fail("split root vanished");
   }
-  // Two-phase: collect read-only first, mutate only once the cut is
-  // known to exist — a failed split must leave the partition intact.
+  // Read-only: the subtree stays in place, so readers keep finding its
+  // points, until the install swaps in a routing node over the halves
+  // built from this copy.
   std::vector<Partition::Slot> slots;
   if (!p->SubtreeLocalSlots(req.root, &slots)) {
     return fail("split subtree is not fully local");
@@ -169,11 +201,6 @@ void SemTree::HandleSplit(Partition* p, const Message& msg) {
     (i < cut.boundary ? resp.left : resp.right)
         .Append(store.CoordsAt(s), store.IdAt(s));
   }
-  // Commit: the subtree collapses to an empty leaf; its points now
-  // live only in this response until the coordinator ships them.
-  p->DetachSubtree(req.root);
-  p->RemovePoints(slots.size());
-  p->BumpRebalances();
   resp.ok = true;
   size_t bytes = resp.left.ApproxBytes() + resp.right.ApproxBytes();
   cluster_->Respond(msg, MakePayload<SplitResponse>(std::move(resp)),
@@ -194,15 +221,16 @@ void SemTree::HandleInstallSplit(Partition* p, const Message& msg) {
       p->node(req.node).is_dead) {
     return fail("install-split node vanished");
   }
-  // Points inserted since the drain may even have re-split the leaf
-  // into a small local subtree — gather them all as strands.
+  // Drain the subtree: its points are the copy the halves were built
+  // from, give or take the writes that landed since.
   std::vector<Partition::Slot> slots;
   if (!p->SubtreeLocalSlots(req.node, &slots)) {
     return fail("install-split node grew a remote edge");
   }
-  resp.strands = GatherSlots(p->store(), slots, 0, slots.size());
+  resp.points = GatherSlots(p->store(), slots, 0, slots.size());
   p->DetachSubtree(req.node);
   p->RemovePoints(slots.size());
+  p->BumpRebalances();
   // Publish: one field-wise write on the owning worker — concurrent
   // traversals entering this node afterwards follow the new edges.
   Partition::PNode& n = p->node(req.node);
@@ -212,7 +240,7 @@ void SemTree::HandleInstallSplit(Partition* p, const Message& msg) {
   n.left = req.left;
   n.right = req.right;
   resp.ok = true;
-  size_t bytes = resp.strands.ApproxBytes() + 64;
+  size_t bytes = resp.points.ApproxBytes() + 64;
   cluster_->Respond(
       msg, MakePayload<InstallSplitResponse>(std::move(resp)), bytes);
 }
@@ -430,6 +458,22 @@ Status SemTree::ReinsertBlock(const PointBlock& block) {
   return Status::OK();
 }
 
+Status SemTree::ReconcileCopy(const PointBlock& copied,
+                              const PointBlock& drained) {
+  SEMTREE_RETURN_NOT_OK(ReinsertBlock(RowsMissingFrom(drained, copied)));
+  const PointBlock removed = RowsMissingFrom(copied, drained);
+  // The removals already left the total when they hit the original:
+  // add them back so removing the copies does not count them twice.
+  total_points_.fetch_add(removed.size(), std::memory_order_relaxed);
+  for (size_t i = 0; i < removed.size(); ++i) {
+    const double* row = removed.Row(i);
+    SEMTREE_RETURN_NOT_OK(
+        Remove(std::vector<double>(row, row + removed.dimensions),
+               removed.ids[i]));
+  }
+  return Status::OK();
+}
+
 Result<bool> SemTree::TrySplit(const LoadSnapshot& snap) {
   const RebalanceOptions& opt = options_.rebalance;
   double mean =
@@ -494,6 +538,11 @@ Result<bool> SemTree::TrySplit(const LoadSnapshot& snap) {
     return false;
   }
   uint64_t moved = sresp.left.size() + sresp.right.size();
+  // What the install will compare the drained subtree against.
+  PointBlock copied = sresp.left;
+  for (size_t i = 0; i < sresp.right.size(); ++i) {
+    copied.Append(sresp.right.Row(i), sresp.right.ids[i]);
+  }
 
   auto ship = [&](PointBlock block,
                   int32_t target) -> Result<int32_t> {
@@ -529,7 +578,7 @@ Result<bool> SemTree::TrySplit(const LoadSnapshot& snap) {
     return Status::Internal(
         StringPrintf("install-split failed: %s", iresp.error.c_str()));
   }
-  SEMTREE_RETURN_NOT_OK(ReinsertBlock(iresp.strands));
+  SEMTREE_RETURN_NOT_OK(ReconcileCopy(copied, iresp.points));
 
   ++rebalance_counters_.splits;
   rebalance_counters_.points_moved += moved;

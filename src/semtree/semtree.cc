@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <set>
 
 #include "common/logging.h"
@@ -25,81 +24,123 @@ using namespace protocol;  // NOLINT(build/namespaces)
 
 namespace {
 
-// One local step of the k-NN forward/backward visit (§III-B.3,
-// Table I): a leaf scan into the rs max-heap, or one status
-// transition of the routing frame on top of `stack`. Shared by the
-// single-query handler and the batch advance loop so batched results
-// cannot diverge from sequential ones. Precondition: stack->back() is
-// a frame hosted by `p`.
+// One local step of a search item whose top frame `p` hosts (§III-B.3
+// and §III-B.4): the stale-frame guard, a leaf scan, then either the
+// Table-I status transition of a k-NN routing frame or the one-time
+// expansion of a range routing frame.
 //
-// `tb` meters the item's SearchBudget: when a cap runs out the stack
-// is cleared (the traversal ends wherever it is, flagged truncated),
-// and epsilon relaxes the backward-visit condition to
-// |P[Sr] - Sv|·(1+eps) < max(Rs) — the (1+ε)-approximate criterion.
-// With an exact budget every charge succeeds and the relaxed condition
-// equals the textbook one, so the traversal is unchanged.
-void KnnStep(Partition* p, const std::vector<double>& query, size_t k,
-             TravelBudget* tb, std::vector<Neighbor>* rs,
-             std::vector<KnnFrame>* stack) {
-  KnnFrame& frame = stack->back();
-  // An out-of-range index means the frame was captured before a
-  // rebalance step rewrote this partition (e.g. a migration reset the
-  // arena): the subtree it pointed at now lives behind a retargeted
-  // edge the traversal has already consulted or will re-enter through
-  // the parent, so the stale frame is dropped like a dead node.
+// `item->tb` meters the item's SearchBudget (flagging it truncated
+// when a cap runs out) and epsilon relaxes the pruning conditions —
+// |P[Sr] - Sv|·(1+eps) against max(Rs) for the k-NN backward visit, the
+// (1+ε)-approximate criterion, and against D for a range descent. With
+// an exact budget every charge succeeds and the relaxed conditions
+// equal the textbook ones, so the traversal is unchanged.
+//
+// On exhaustion a k-NN item clears its stack: the traversal ends
+// wherever it is. A range item only drops the frame that failed, as
+// the budget is metered per partition subtree: its later local frames
+// fail their own charges (a distance cap still lets routing nodes
+// expand), and the remote subtrees they reach are handed back with
+// fresh budgets.
+void SearchStep(Partition* p, SearchItem* item) {
+  std::vector<KnnFrame>& stack = item->stack;
+  TravelBudget& tb = item->tb;
+  KnnFrame& frame = stack.back();
+  auto exhausted = [&]() {
+    if (item->type == QueryType::kKnn) {
+      stack.clear();
+    } else {
+      stack.pop_back();
+    }
+  };
+  // Stale-frame guard. A dead node, or an out-of-range index, means the
+  // frame was captured before a structural change rewrote this
+  // partition (e.g. a migration reset the arena): the subtree it pointed
+  // at now lives behind a retargeted edge the traversal has already
+  // consulted or will re-enter through the parent, so the frame is
+  // dropped.
   if (frame.node < 0 ||
-      static_cast<size_t>(frame.node) >= p->arena_size()) {
-    stack->pop_back();
+      static_cast<size_t>(frame.node) >= p->arena_size() ||
+      p->node(frame.node).is_dead) {
+    stack.pop_back();
     return;
   }
   const Partition::PNode& n = p->node(frame.node);
-  if (n.is_dead) {
-    stack->pop_back();
-    return;
-  }
   if (n.is_leaf) {
-    if (!tb->ChargeNode()) {
-      stack->clear();
+    if (!tb.ChargeNode()) {
+      exhausted();
       return;
     }
     const PointStore& store = p->store();
     // Batched leaf scan (core/kernels.h); the embedded space is L2 by
     // construction. The bulk grant reproduces a per-point charge loop
     // exactly, including the truncation point.
-    size_t granted = tb->ChargeDistances(n.bucket.size());
+    size_t granted = tb.ChargeDistances(n.bucket.size());
     p->RecordLoad(0, static_cast<double>(granted));
-    BatchScan(
-        Metric::kL2, query.data(), store.dimensions(), granted,
-        [&](size_t j) { return store.CoordsAt(n.bucket[j]); },
-        [&](size_t j, double d) {
-          rs->push_back(Neighbor{store.IdAt(n.bucket[j]), d});
-          std::push_heap(rs->begin(), rs->end(), NeighborDistanceThenId);
-          if (rs->size() > k) {
-            std::pop_heap(rs->begin(), rs->end(),
-                          NeighborDistanceThenId);
-            rs->pop_back();
-          }
-        });
-    if (granted < n.bucket.size()) {
-      stack->clear();
+    std::vector<Neighbor>& rs = item->rs;
+    auto coords = [&](size_t j) { return store.CoordsAt(n.bucket[j]); };
+    if (item->type == QueryType::kKnn) {
+      BatchScan(Metric::kL2, item->query.data(), store.dimensions(),
+                granted, coords, [&](size_t j, double d) {
+                  rs.push_back(Neighbor{store.IdAt(n.bucket[j]), d});
+                  std::push_heap(rs.begin(), rs.end(),
+                                 NeighborDistanceThenId);
+                  if (rs.size() > item->k) {
+                    std::pop_heap(rs.begin(), rs.end(),
+                                  NeighborDistanceThenId);
+                    rs.pop_back();
+                  }
+                });
     } else {
-      stack->pop_back();
+      BatchScan(Metric::kL2, item->query.data(), store.dimensions(),
+                granted, coords, [&](size_t j, double d) {
+                  if (d <= item->radius) {
+                    rs.push_back(Neighbor{store.IdAt(n.bucket[j]), d});
+                  }
+                });
+    }
+    if (granted < n.bucket.size()) {
+      exhausted();
+    } else {
+      stack.pop_back();
     }
     return;
   }
-  double diff = query[n.split_dim] - n.split_value;
+  double diff = item->query[n.split_dim] - n.split_value;
+  double adiff = std::fabs(diff);
   ChildRef near = (diff <= 0.0) ? n.left : n.right;
   ChildRef far = (diff <= 0.0) ? n.right : n.left;
+  if (item->type == QueryType::kRange) {
+    // Expand once: pop the routing frame and push every child the
+    // radius condition |P[Sr] - Sv| <= D admits, the left one on top,
+    // so the walk is depth-first, left side first.
+    if (!tb.ChargeNode()) {
+      exhausted();
+      return;
+    }
+    ChildRef left = n.left;
+    ChildRef right = n.right;
+    stack.pop_back();
+    if (adiff * (1.0 + tb.eps()) <= item->radius) {
+      stack.push_back(KnnFrame{right.partition, right.node});
+      stack.push_back(KnnFrame{left.partition, left.node});
+    } else {
+      // Epsilon pruned a side the exact condition would have entered:
+      // the result may be missing borderline members.
+      if (adiff <= item->radius) tb.truncated = true;
+      stack.push_back(KnnFrame{near.partition, near.node});
+    }
+    return;
+  }
   switch (frame.status) {
     case VisitStatus::kNotVisited:
-      if (!tb->ChargeNode()) {
-        stack->clear();
+      if (!tb.ChargeNode()) {
+        exhausted();
         return;
       }
       // Forward visit: descend the near side first.
       frame.status = VisitStatus::kNearVisited;
-      stack->push_back(
-          KnnFrame{near.partition, near.node, VisitStatus::kNotVisited});
+      stack.push_back(KnnFrame{near.partition, near.node});
       break;
     case VisitStatus::kNearVisited: {
       // Backward visit: enter the unexplored subtree when the result
@@ -107,29 +148,46 @@ void KnnStep(Partition* p, const std::vector<double>& query, size_t k,
       // than the worst result (the disjunction of §III-B.3), the
       // latter relaxed by epsilon. The empty-heap guard also covers
       // k == 0.
-      double adiff = std::fabs(diff);
-      bool full = rs->size() >= k;
+      const std::vector<Neighbor>& rs = item->rs;
+      bool full = rs.size() >= item->k;
       bool enter_relaxed =
           !full ||
-          (!rs->empty() && adiff * (1.0 + tb->eps()) < rs->front().distance);
+          (!rs.empty() && adiff * (1.0 + tb.eps()) < rs.front().distance);
       if (enter_relaxed) {
         frame.status = VisitStatus::kAllVisited;
-        stack->push_back(
-            KnnFrame{far.partition, far.node, VisitStatus::kNotVisited});
+        stack.push_back(KnnFrame{far.partition, far.node});
       } else {
         // Epsilon (not the geometry) pruned a subtree the exact
         // condition would have entered: the result is approximate.
-        if (!rs->empty() && adiff < rs->front().distance) {
-          tb->truncated = true;
+        if (!rs.empty() && adiff < rs.front().distance) {
+          tb.truncated = true;
         }
-        stack->pop_back();
+        stack.pop_back();
       }
       break;
     }
     case VisitStatus::kAllVisited:
-      stack->pop_back();
+      stack.pop_back();
       break;
   }
+}
+
+// A fresh item for query `q` that starts at node `start`, with an
+// unspent budget, as one outbound call.
+Cluster::OutboundCall SearchCall(uint32_t slot, const SpatialQuery& q,
+                                 const ChildRef& start) {
+  SearchItem item;
+  item.slot = slot;
+  item.type = q.type;
+  item.query = q.coords;
+  item.k = q.k;
+  item.radius = q.radius;
+  item.tb.budget = q.budget;
+  item.stack.push_back(KnnFrame{start.partition, start.node});
+  size_t bytes = SearchItemBytes(item);
+  return Cluster::OutboundCall{start.partition, kSearchMsg,
+                               MakePayload<SearchItem>(std::move(item)),
+                               bytes};
 }
 
 }  // namespace
@@ -225,11 +283,8 @@ void SemTree::RegisterHandlers(Partition* part, ComputeNode* node) {
   node->RegisterHandler(kInsertMsg, [this, part](const Message& m) {
     HandleInsert(part, m);
   });
-  node->RegisterHandler(kKnnMsg, [this, part](const Message& m) {
-    HandleKnn(part, m);
-  });
-  node->RegisterHandler(kRangeMsg, [this, part](const Message& m) {
-    HandleRange(part, m);
+  node->RegisterHandler(kSearchMsg, [this, part](const Message& m) {
+    HandleSearch(part, m);
   });
   node->RegisterHandler(kBuildPartitionMsg,
                         [this, part](const Message& m) {
@@ -251,9 +306,6 @@ void SemTree::RegisterHandlers(Partition* part, ComputeNode* node) {
                         [this, part](const Message& m) {
                           HandleInstallTopology(part, m);
                         });
-  node->RegisterHandler(kBatchMsg, [this, part](const Message& m) {
-    HandleBatch(part, m);
-  });
   node->RegisterHandler(kSnapshotMsg, [this, part](const Message& m) {
     HandleSnapshot(part, m);
   });
@@ -774,390 +826,57 @@ Status SemTree::BulkLoadBalanced(PointBlock points) {
 }
 
 // --------------------------------------------------------------------
-// K-nearest search (§III-B.3)
+// Search: k-NN (§III-B.3) and range (§III-B.4)
 
-void SemTree::HandleKnn(Partition* p, const Message& msg) {
-  auto& req = PayloadAs<KnnRequest>(msg.payload);
+void SemTree::HandleSearch(Partition* p, const Message& msg) {
+  auto& item = PayloadAs<SearchItem>(msg.payload);
   p->RecordLoad(1, 0);
-  ++req.partitions_visited;
-
-  // Drive the traversal off the frame stack until it drains (answer
-  // the client) or reaches a node hosted elsewhere (forward the whole
-  // work item there, insertion-style).
-  while (!req.stack.empty()) {
-    if (req.stack.back().partition != p->id()) {
-      cluster_->Forward(msg, req.stack.back().partition, p->id());
+  ++item.partitions_visited;
+  while (!item.stack.empty()) {
+    const KnnFrame& top = item.stack.back();
+    if (top.partition == p->id()) {
+      SearchStep(p, &item);
+    } else if (item.type == QueryType::kKnn) {
+      // Forward the whole work item to the partition hosting the top
+      // frame, insertion-style; it (or a later hop) answers the caller.
+      cluster_->Forward(msg, top.partition, p->id());
       return;
+    } else {
+      // Hand the remote subtree back: the caller runs it in parallel
+      // with the others, so this worker never waits on another node.
+      item.remote.push_back(ChildRef{top.partition, top.node});
+      item.stack.pop_back();
     }
-    KnnStep(p, req.query, req.k, &req.tb, &req.rs, &req.stack);
   }
-  // Backward visit finished (at the root partition per §III-B.3, since
-  // the bottom frame lives there) — or the budget ran out and cleared
-  // the stack wherever the traversal was.
-  KnnResponse resp;
-  resp.rs = std::move(req.rs);
-  resp.partitions_visited = req.partitions_visited;
-  resp.truncated = req.tb.truncated;
-  size_t bytes = NeighborBytes(resp.rs.size());
-  cluster_->Respond(msg, MakePayload<KnnResponse>(std::move(resp)),
-                    bytes);
+  // The k-NN backward visit finished (at the root partition, since the
+  // bottom frame lives there), the range walk of this subtree did, or
+  // the budget ran out and cleared a k-NN stack wherever the walk was.
+  cluster_->Respond(msg, msg.payload, SearchItemBytes(item));
 }
 
 Result<std::vector<Neighbor>> SemTree::KnnSearch(
     const std::vector<double>& query, size_t k, const SearchBudget& budget,
     DistributedSearchStats* stats) const {
-  if (query.size() != options_.dimensions) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
-  if (!AllFinite(query)) {
-    return Status::InvalidArgument(
-        "query has non-finite (NaN/Inf) coordinates");
-  }
-  if (stats) stats->messages_before = cluster_->Stats().messages;
-  KnnRequest req;
-  req.query = query;
-  req.k = k;
-  req.tb.budget = budget;
-  req.stack.push_back(KnnFrame{0, 0, VisitStatus::kNotVisited});
   SEMTREE_ASSIGN_OR_RETURN(
-      Payload payload,
-      cluster_->CallAndWait(0, kKnnMsg,
-                            MakePayload<KnnRequest>(std::move(req)),
-                            PointBytes(query.size())));
-  auto& resp = PayloadAs<KnnResponse>(payload);
-  std::vector<Neighbor> out = std::move(resp.rs);
-  std::sort(out.begin(), out.end(), NeighborDistanceThenId);
-  if (stats) {
-    stats->messages_after = cluster_->Stats().messages;
-    stats->partitions_visited = resp.partitions_visited;
-    stats->truncated = resp.truncated;
-  }
-  return out;
-}
-
-// --------------------------------------------------------------------
-// Range search (§III-B.4)
-
-namespace {
-
-// Local half of the distributed range search. The budget is metered
-// per partition subtree (see semtree.h): this partition's TravelBudget
-// charges local nodes and points, while border-crossing subqueries
-// ship the original caps and meter themselves. Epsilon prunes the
-// both-children descent exactly like the sequential walkers:
-// |P[Sr] - Sv|·(1+eps) <= D admits both sides.
-void RangeLocalWalk(Cluster* cluster, Partition* p, int32_t node,
-                    const RangeRequest& req, TravelBudget* tb,
-                    std::vector<Neighbor>* out,
-                    std::vector<std::future<Payload>>* remote) {
-  // Stale-frame guard (see KnnStep): a node index from before a
-  // rebalance rewrite is treated like a dead node.
-  if (node < 0 || static_cast<size_t>(node) >= p->arena_size()) return;
-  const Partition::PNode& n = p->node(node);
-  if (n.is_dead) return;
-  if (n.is_leaf) {
-    if (!tb->ChargeNode()) return;
-    const PointStore& store = p->store();
-    size_t granted = tb->ChargeDistances(n.bucket.size());
-    p->RecordLoad(0, static_cast<double>(granted));
-    BatchScan(
-        Metric::kL2, req.query.data(), store.dimensions(), granted,
-        [&](size_t j) { return store.CoordsAt(n.bucket[j]); },
-        [&](size_t j, double d) {
-          if (d <= req.radius) {
-            out->push_back(Neighbor{store.IdAt(n.bucket[j]), d});
-          }
-        });
-    return;
-  }
-  if (!tb->ChargeNode()) return;
-
-  auto visit = [&](const ChildRef& child) {
-    if (child.partition == p->id()) {
-      RangeLocalWalk(cluster, p, child.node, req, tb, out, remote);
-      return;
-    }
-    // Border node: launch the remote subquery and keep navigating —
-    // the remote partitions work in parallel (§III-B.4).
-    RangeRequest sub;
-    sub.start_node = child.node;
-    sub.query = req.query;
-    sub.radius = req.radius;
-    sub.budget = req.budget;
-    remote->push_back(cluster->Call(
-        child.partition, kRangeMsg,
-        MakePayload<RangeRequest>(std::move(sub)),
-        PointBytes(req.query.size()), p->id()));
-  };
-
-  double diff = req.query[n.split_dim] - n.split_value;
-  double adiff = std::fabs(diff);
-  if (adiff * (1.0 + tb->eps()) <= req.radius) {
-    visit(n.left);
-    visit(n.right);
-  } else {
-    // Epsilon pruned the far side the exact condition would have
-    // entered: the result may be missing borderline members.
-    if (adiff <= req.radius) tb->truncated = true;
-    visit(diff <= 0.0 ? n.left : n.right);
-  }
-}
-
-}  // namespace
-
-void SemTree::HandleRange(Partition* p, const Message& msg) {
-  auto& req = PayloadAs<RangeRequest>(msg.payload);
-  p->RecordLoad(1, 0);
-  RangeResponse resp;
-  resp.partitions_visited = 1;
-  TravelBudget tb;
-  tb.budget = req.budget;
-  std::vector<std::future<Payload>> remote;
-  RangeLocalWalk(cluster_.get(), p, req.start_node, req, &tb,
-                 &resp.results, &remote);
-  resp.truncated = tb.truncated;
-  // Backward phase: merge the parallel partial result sets.
-  for (std::future<Payload>& f : remote) {
-    Payload payload = f.get();
-    if (payload == nullptr) continue;  // Cluster shut down mid-query.
-    auto& sub = PayloadAs<RangeResponse>(payload);
-    resp.partitions_visited += sub.partitions_visited;
-    resp.truncated = resp.truncated || sub.truncated;
-    resp.results.insert(resp.results.end(), sub.results.begin(),
-                        sub.results.end());
-  }
-  size_t bytes = NeighborBytes(resp.results.size());
-  cluster_->Respond(msg, MakePayload<RangeResponse>(std::move(resp)),
-                    bytes);
+      auto out, BatchSearch({SpatialQuery::Knn(query, k, budget)}, stats));
+  return std::move(out[0]);
 }
 
 Result<std::vector<Neighbor>> SemTree::RangeSearch(
     const std::vector<double>& query, double radius,
     const SearchBudget& budget, DistributedSearchStats* stats) const {
-  if (query.size() != options_.dimensions) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
-  if (!AllFinite(query)) {
-    return Status::InvalidArgument(
-        "query has non-finite (NaN/Inf) coordinates");
-  }
-  // !(radius >= 0) also rejects a NaN radius, which would defeat
-  // every pruning comparison on the partition walks.
-  if (!(radius >= 0.0)) {
-    return Status::InvalidArgument("radius must be non-negative");
-  }
-  if (stats) stats->messages_before = cluster_->Stats().messages;
-  RangeRequest req;
-  req.start_node = 0;
-  req.query = query;
-  req.radius = radius;
-  req.budget = budget;
   SEMTREE_ASSIGN_OR_RETURN(
-      Payload payload,
-      cluster_->CallAndWait(0, kRangeMsg,
-                            MakePayload<RangeRequest>(std::move(req)),
-                            PointBytes(query.size())));
-  auto& resp = PayloadAs<RangeResponse>(payload);
-  std::vector<Neighbor> out = std::move(resp.results);
-  std::sort(out.begin(), out.end(), NeighborDistanceThenId);
-  if (stats) {
-    stats->messages_after = cluster_->Stats().messages;
-    stats->partitions_visited = resp.partitions_visited;
-    stats->truncated = resp.truncated;
-  }
-  return out;
-}
-
-// --------------------------------------------------------------------
-// Coalesced batch search
-//
-// A batch travels the partition tree as whole work items. At each
-// partition every item advances locally until it completes, blocks on
-// a child partition, or pops back out of this partition's frames; the
-// blocked items are then grouped by target partition and each group is
-// shipped as ONE sub-RPC (instead of one RPC per query). Sub-calls
-// only ever follow down-edges of the partition tree — partitions are
-// linked strictly old-to-new — so the nested-Call chains cannot
-// deadlock (see compute_node.h).
-
-namespace {
-
-enum class ItemState : uint8_t {
-  kDone,     // Stack drained: the item is fully answered.
-  kExited,   // Popped out of this partition's frames; an ancestor
-             // owns the new top frame — hand the item back.
-  kBlocked,  // Top frame lives in a child partition.
-};
-
-// Advances `item` while its top frame is hosted by `p`. `entry_depth`
-// is the stack size at arrival: the frame at entry_depth-1 is the one
-// that addressed this partition, so shrinking below it means the
-// traversal has left p's subtree.
-ItemState AdvanceItem(Partition* p, BatchItem* item, size_t entry_depth) {
-  for (;;) {
-    if (item->stack.empty()) return ItemState::kDone;
-    if (item->stack.size() < entry_depth) return ItemState::kExited;
-    KnnFrame& frame = item->stack.back();
-    if (frame.partition != p->id()) return ItemState::kBlocked;
-
-    if (item->type == QueryType::kKnn) {
-      // The exact per-frame step the single-query handler runs.
-      KnnStep(p, item->query, item->k, &item->tb, &item->rs, &item->stack);
-      continue;
-    }
-
-    // Stale-frame guard (see KnnStep).
-    if (frame.node < 0 ||
-        static_cast<size_t>(frame.node) >= p->arena_size()) {
-      item->stack.pop_back();
-      continue;
-    }
-    const Partition::PNode& n = p->node(frame.node);
-    if (n.is_dead) {
-      item->stack.pop_back();
-      continue;
-    }
-    if (n.is_leaf) {
-      if (!item->tb.ChargeNode()) {
-        item->stack.clear();
-        continue;
-      }
-      const PointStore& store = p->store();
-      size_t granted = item->tb.ChargeDistances(n.bucket.size());
-      p->RecordLoad(0, static_cast<double>(granted));
-      BatchScan(
-          Metric::kL2, item->query.data(), store.dimensions(), granted,
-          [&](size_t j) { return store.CoordsAt(n.bucket[j]); },
-          [&](size_t j, double d) {
-            if (d <= item->radius) {
-              item->rs.push_back(Neighbor{store.IdAt(n.bucket[j]), d});
-            }
-          });
-      bool spent = granted < n.bucket.size();
-      if (spent) {
-        item->stack.clear();
-      } else {
-        item->stack.pop_back();
-      }
-      continue;
-    }
-
-    // Expand once: pop the routing frame, push every child the radius
-    // condition admits (§III-B.4) — the both-children condition
-    // relaxed by the item's epsilon, like the sequential walkers.
-    if (!item->tb.ChargeNode()) {
-      item->stack.clear();
-      continue;
-    }
-    double diff = item->query[n.split_dim] - n.split_value;
-    double adiff = std::fabs(diff);
-    ChildRef left = n.left;
-    ChildRef right = n.right;
-    item->stack.pop_back();
-    if (adiff * (1.0 + item->tb.eps()) <= item->radius) {
-      item->stack.push_back(
-          KnnFrame{left.partition, left.node, VisitStatus::kNotVisited});
-      item->stack.push_back(
-          KnnFrame{right.partition, right.node, VisitStatus::kNotVisited});
-    } else {
-      // Epsilon pruned a side the exact condition would have entered.
-      if (adiff <= item->radius) item->tb.truncated = true;
-      ChildRef near = (diff <= 0.0) ? left : right;
-      item->stack.push_back(
-          KnnFrame{near.partition, near.node, VisitStatus::kNotVisited});
-    }
-  }
-}
-
-}  // namespace
-
-void SemTree::HandleBatch(Partition* p, const Message& msg) {
-  auto& req = PayloadAs<BatchRequest>(msg.payload);
-  p->RecordLoad(static_cast<double>(req.items.size()), 0);
-  BatchResponse resp;
-  resp.partitions_visited = 1;
-  resp.items.reserve(req.items.size());
-
-  struct ActiveItem {
-    BatchItem item;
-    size_t entry_depth;
-  };
-  // The entry depth is fixed at arrival: frames below it belong to
-  // ancestor partitions forever, while frames at or above it are this
-  // partition's (or pushed into descendants during local advancing) —
-  // including after a sub-call hands an item back.
-  std::map<uint32_t, size_t> entry_depth_of;
-  std::vector<ActiveItem> active;
-  active.reserve(req.items.size());
-  for (BatchItem& item : req.items) {
-    size_t depth = item.stack.size();
-    entry_depth_of[item.slot] = depth;
-    active.push_back(ActiveItem{std::move(item), depth});
-  }
-
-  while (!active.empty()) {
-    // Advance everything locally; settled items go straight into the
-    // response, blocked ones group by the partition they need next.
-    std::map<int32_t, std::vector<ActiveItem>> blocked;
-    for (ActiveItem& a : active) {
-      switch (AdvanceItem(p, &a.item, a.entry_depth)) {
-        case ItemState::kDone:
-        case ItemState::kExited:
-          resp.items.push_back(std::move(a.item));
-          break;
-        case ItemState::kBlocked:
-          blocked[a.item.stack.back().partition].push_back(std::move(a));
-          break;
-      }
-    }
-    active.clear();
-    if (blocked.empty()) break;
-
-    // One sub-RPC per child partition, carrying every item that needs
-    // it this round.
-    std::vector<Cluster::OutboundCall> calls;
-    calls.reserve(blocked.size());
-    for (auto& [target, group] : blocked) {
-      BatchRequest sub;
-      sub.items.reserve(group.size());
-      for (ActiveItem& a : group) sub.items.push_back(std::move(a.item));
-      size_t bytes = BatchBytes(sub.items);
-      calls.push_back(Cluster::OutboundCall{
-          target, kBatchMsg, MakePayload<BatchRequest>(std::move(sub)),
-          bytes});
-    }
-    std::vector<std::future<Payload>> futures =
-        cluster_->CallAll(std::move(calls), p->id());
-
-    // The children work in parallel; returned items re-enter the local
-    // advance loop (a k-NN item may resume a backward visit here).
-    for (std::future<Payload>& f : futures) {
-      Payload payload = f.get();
-      if (payload == nullptr) continue;  // Cluster shut down mid-batch.
-      auto& sub = PayloadAs<BatchResponse>(payload);
-      resp.partitions_visited += sub.partitions_visited;
-      for (BatchItem& item : sub.items) {
-        size_t depth = entry_depth_of.at(item.slot);
-        active.push_back(ActiveItem{std::move(item), depth});
-      }
-    }
-  }
-
-  size_t bytes = BatchBytes(resp.items);
-  cluster_->Respond(msg, MakePayload<BatchResponse>(std::move(resp)),
-                    bytes);
+      auto out,
+      BatchSearch({SpatialQuery::Range(query, radius, budget)}, stats));
+  return std::move(out[0]);
 }
 
 Result<std::vector<std::vector<Neighbor>>> SemTree::BatchSearch(
     const std::vector<SpatialQuery>& queries,
     DistributedSearchStats* stats,
     std::vector<uint8_t>* truncated) const {
-  std::vector<std::vector<Neighbor>> out(queries.size());
-  if (truncated) truncated->assign(queries.size(), 0);
-  if (queries.empty()) return out;
-
-  BatchRequest req;
-  req.items.reserve(queries.size());
+  std::vector<Cluster::OutboundCall> calls;
+  calls.reserve(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     const SpatialQuery& q = queries[i];
     if (q.coords.size() != options_.dimensions) {
@@ -1169,42 +888,51 @@ Result<std::vector<std::vector<Neighbor>>> SemTree::BatchSearch(
       return Status::InvalidArgument(StringPrintf(
           "query %zu has non-finite (NaN/Inf) coordinates", i));
     }
-    // !(radius >= 0) also rejects NaN.
+    // !(radius >= 0) also rejects a NaN radius, which would defeat
+    // every pruning comparison on the partition walks.
     if (q.type == QueryType::kRange && !(q.radius >= 0.0)) {
       return Status::InvalidArgument(
           StringPrintf("query %zu has a negative or NaN radius", i));
     }
-    BatchItem item;
-    item.slot = static_cast<uint32_t>(i);
-    item.type = q.type;
-    item.query = q.coords;
-    item.k = q.k;
-    item.radius = q.radius;
-    item.tb.budget = q.budget;
-    item.stack.push_back(KnnFrame{0, 0, VisitStatus::kNotVisited});
-    req.items.push_back(std::move(item));
+    calls.push_back(
+        SearchCall(static_cast<uint32_t>(i), q, ChildRef{0, 0}));
   }
 
-  if (stats) stats->messages_before = cluster_->Stats().messages;
-  size_t bytes = BatchBytes(req.items);
-  SEMTREE_ASSIGN_OR_RETURN(
-      Payload payload,
-      cluster_->CallAndWait(0, kBatchMsg,
-                            MakePayload<BatchRequest>(std::move(req)),
-                            bytes));
-  auto& resp = PayloadAs<BatchResponse>(payload);
-  bool any_truncated = false;
-  for (BatchItem& item : resp.items) {
-    std::sort(item.rs.begin(), item.rs.end(), NeighborDistanceThenId);
-    out[item.slot] = std::move(item.rs);
-    any_truncated = any_truncated || item.tb.truncated;
-    if (truncated) (*truncated)[item.slot] = item.tb.truncated ? 1 : 0;
+  // The client loop: every outstanding item is in flight at once. An
+  // answered item's results join its slot, and the range subtrees it
+  // handed back go out together as fresh items, until none is left.
+  std::vector<std::vector<Neighbor>> out(queries.size());
+  if (truncated) truncated->assign(queries.size(), 0);
+  DistributedSearchStats total;
+  std::vector<std::future<Payload>> inflight =
+      cluster_->CallAll(std::move(calls));
+  for (size_t next = 0; next < inflight.size(); ++next) {
+    Payload payload = inflight[next].get();
+    if (payload == nullptr) {
+      return Status::Unavailable("cluster shut down during search");
+    }
+    const auto& item = PayloadAs<SearchItem>(payload);
+    std::vector<Neighbor>& rs = out[item.slot];
+    rs.insert(rs.end(), item.rs.begin(), item.rs.end());
+    total.partitions_visited += item.partitions_visited;
+    total.messages += item.partitions_visited + 1;  // + the response.
+    if (item.tb.truncated) {
+      total.truncated = true;
+      if (truncated) (*truncated)[item.slot] = 1;
+    }
+    std::vector<Cluster::OutboundCall> subtrees;
+    subtrees.reserve(item.remote.size());
+    for (const ChildRef& child : item.remote) {
+      subtrees.push_back(SearchCall(item.slot, queries[item.slot], child));
+    }
+    for (std::future<Payload>& f : cluster_->CallAll(std::move(subtrees))) {
+      inflight.push_back(std::move(f));
+    }
   }
-  if (stats) {
-    stats->messages_after = cluster_->Stats().messages;
-    stats->partitions_visited = resp.partitions_visited;
-    stats->truncated = any_truncated;
+  for (std::vector<Neighbor>& rs : out) {
+    std::sort(rs.begin(), rs.end(), NeighborDistanceThenId);
   }
+  if (stats) *stats = total;
   return out;
 }
 

@@ -19,12 +19,16 @@
 //    entered: |max(Rs) - P| > |P[Sr] - Sv| or |Rs| < K. The traversal
 //    state — the result set Rs, and per-node status S in
 //    {Not Visited, near-side Visited, All Visited} (Table I) — travels
-//    inside the message, which is *forwarded* between partitions like
+//    inside the work item, which is *forwarded* between partitions like
 //    an insertion; no compute node blocks on another, so concurrent
 //    queries pipeline across the cluster.
-//  * Range — descends both children when |P[Sr] - Sv| <= D; on edge
-//    nodes the remote subqueries run in parallel and the partial result
-//    sets are merged during the backward phase.
+//  * Range — descends both children when |P[Sr] - Sv| <= D. A partition
+//    walks its local subtree and hands each remote child back to the
+//    caller, which runs those subqueries in parallel and merges the
+//    partial result sets: the waiting happens at the caller, never in a
+//    partition worker.
+// Both travel as one work item type through one handler and one client
+// loop (protocol.h's SearchItem, BatchSearch below).
 
 #ifndef SEMTREE_SEMTREE_SEMTREE_H_
 #define SEMTREE_SEMTREE_SEMTREE_H_
@@ -102,13 +106,14 @@ struct SemTreeOptions {
 };
 
 /// Outcome counters for a distributed search (network cost included).
+/// `messages` counts the search's own requests, forwards and responses,
+/// taken from its work items, so concurrent clients do not pollute it.
 /// `truncated` mirrors SearchStats::truncated (core/point.h): the
 /// query's SearchBudget ran out, or epsilon pruning skipped a subtree
 /// an exact search would have entered, somewhere in the cluster.
 struct DistributedSearchStats {
-  size_t partitions_visited = 0;
-  uint64_t messages_before = 0;
-  uint64_t messages_after = 0;
+  size_t partitions_visited = 0;  ///< Partition handler activations.
+  uint64_t messages = 0;
   bool truncated = false;
 };
 
@@ -175,9 +180,10 @@ class SemTree {
   /// Distributed range query (§III-B.4). Because the remote subqueries
   /// of a range search run in parallel (no traversal state travels
   /// between them), the budget is enforced *per partition subtree* —
-  /// each partition meters its local work independently — rather than
-  /// globally; the batch protocol below, which advances items
-  /// serially, enforces it globally.
+  /// each subquery meters its own partition's work independently —
+  /// rather than globally. A cap that runs out cuts short only that
+  /// subquery's local walk; the remote subtrees it reaches still run.
+  /// BatchSearch meters range queries the same way.
   Result<std::vector<Neighbor>> RangeSearch(
       const std::vector<double>& query, double radius,
       const SearchBudget& budget,
@@ -188,18 +194,16 @@ class SemTree {
     return RangeSearch(query, radius, SearchBudget{}, stats);
   }
 
-  /// Executes a batch of mixed k-NN/range queries as ONE coalesced
-  /// protocol run: the whole batch ships to the root partition in a
-  /// single message, and at every partition the sub-queries that must
-  /// descend into the same child partition travel there together in one
-  /// RPC per (partition, round) instead of one RPC per query. Results
-  /// are positionally aligned with `queries` and identical to issuing
-  /// each query through KnnSearch/RangeSearch. Each query's
-  /// SearchBudget (SpatialQuery::budget) travels with its work item —
-  /// counters included — so budgets are enforced globally across
-  /// partitions; `truncated`, if given, receives one flag per query
-  /// (nonzero = that result may be missing members). `stats`, if
-  /// given, aggregates over the batch.
+  /// Executes a batch of mixed k-NN/range queries, all in flight at
+  /// once. Nothing is coalesced: every query travels as its own work
+  /// item, so the batch costs exactly the messages of its queries sent
+  /// one by one. Results are positionally aligned with `queries` and
+  /// identical to issuing each query through KnnSearch/RangeSearch
+  /// with the same SearchBudget (SpatialQuery::budget): global across
+  /// partition hops for k-NN, per partition subtree for range.
+  /// `truncated`, if given, receives one flag per query (nonzero = that
+  /// result may be missing members). `stats`, if given, aggregates over
+  /// the batch.
   Result<std::vector<std::vector<Neighbor>>> BatchSearch(
       const std::vector<SpatialQuery>& queries,
       DistributedSearchStats* stats = nullptr,
@@ -281,14 +285,12 @@ class SemTree {
   // Message handlers (run on the owning partition's worker thread).
   void HandleInsert(Partition* p, const Message& msg);
   void HandleRemove(Partition* p, const Message& msg);
-  void HandleKnn(Partition* p, const Message& msg);
-  void HandleRange(Partition* p, const Message& msg);
+  void HandleSearch(Partition* p, const Message& msg);
   void HandleBuildPartition(Partition* p, const Message& msg);
   void HandleAdoptLeaf(Partition* p, const Message& msg);
   void HandleStats(Partition* p, const Message& msg);
   void HandleBulkBuild(Partition* p, const Message& msg);
   void HandleInstallTopology(Partition* p, const Message& msg);
-  void HandleBatch(Partition* p, const Message& msg);
   void HandleSnapshot(Partition* p, const Message& msg);
   void HandleRestore(Partition* p, const Message& msg);
 
@@ -331,10 +333,18 @@ class SemTree {
   // normal insertion (adjusting total_points_ first, so the re-insert
   // does not double-count them).
   Status ReinsertBlock(const PointBlock& block) REQUIRES(rebalance_mu_);
+  // After a subtree was copied, the copy rebuilt elsewhere and the
+  // original drained: re-inserts what the original gained since the
+  // copy and removes from the tree what it lost.
+  Status ReconcileCopy(const PointBlock& copied, const PointBlock& drained)
+      REQUIRES(rebalance_mu_);
   // A free seat with id in (above, below), or a fresh partition when
-  // `below` is unbounded; -1 when none qualifies. Ids must grow along
-  // edges (the deadlock-freedom invariant of the batch protocol), so
-  // every rebalance target is constrained by its future neighbors.
+  // `below` is unbounded; -1 when none qualifies. Ids grow along edges,
+  // so every rebalance target is constrained by its future neighbors.
+  // Deadlock freedom does not need the rule: no search handler waits on
+  // another node (DESIGN.md §2). It is kept because it decides which
+  // seats a split lands on, and so the layout the rebalancer leaves;
+  // changing it is a layout decision (DESIGN.md §12).
   int32_t AcquireSeat(int32_t above, int32_t below)
       REQUIRES(rebalance_mu_);
   void RebalancerLoop();

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -266,6 +267,61 @@ TEST(ApproxDistributedTest, ExactBudgetMatchesOnSemTree) {
   bool any = false;
   for (uint8_t t : trunc_a) any = any || t != 0;
   EXPECT_TRUE(any);
+}
+
+TEST(ApproxDistributedTest, BudgetedRangeMetersEachPartitionSubtree) {
+  // Nine small partitions, so most range queries cross several.
+  SemTreeOptions opts;
+  opts.dimensions = kDims;
+  opts.bucket_size = 4;
+  opts.max_partitions = 9;
+  opts.partition_capacity = 40;
+  auto tree = SemTree::Create(opts);
+  ASSERT_TRUE(tree.ok());
+  auto rows = RandomVectors(300, kDims, 51);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE((*tree)->Insert(rows[i], PointId(i)).ok());
+  }
+  ASSERT_EQ((*tree)->PartitionCount(), 9u);
+
+  // A cap that runs out ends one partition's local walk; the remote
+  // subtrees that walk has already reached still run, each with its own
+  // budget. The totals are those of the recursive walk that ran every
+  // partition subtree inside its own handler.
+  struct Capped {
+    SearchBudget budget;
+    size_t members;
+    size_t visited;
+  };
+  const Capped capped[] = {{SearchBudget::MaxDistances(20), 163, 265},
+                           {SearchBudget::MaxNodes(8), 98, 212}};
+  auto queries = RandomVectors(40, kDims, 52);
+  for (const Capped& c : capped) {
+    size_t members = 0;
+    size_t visited = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      DistributedSearchStats exact_stats, stats;
+      auto exact = (*tree)->RangeSearch(queries[i], 0.5, SearchBudget::Exact(),
+                                        &exact_stats);
+      auto got = (*tree)->RangeSearch(queries[i], 0.5, c.budget, &stats);
+      ASSERT_TRUE(exact.ok() && got.ok());
+      members += got->size();
+      visited += stats.partitions_visited;
+      // Budgets only drop members.
+      for (const Neighbor& n : *got) {
+        EXPECT_NE(std::find(exact->begin(), exact->end(), n), exact->end())
+            << "query " << i << " id " << n.id;
+      }
+      // A distance cap never stops a routing node from expanding, so
+      // every partition subtree the radius admits is still visited.
+      if (c.budget.max_nodes_visited == 0) {
+        EXPECT_EQ(stats.partitions_visited, exact_stats.partitions_visited)
+            << "query " << i;
+      }
+    }
+    EXPECT_EQ(members, c.members);
+    EXPECT_EQ(visited, c.visited);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -112,7 +112,8 @@ TEST(ClusterTest, ManyConcurrentCalls) {
 
 TEST(ClusterTest, NestedCallsAcrossNodes) {
   // Node A relays to node B and augments the answer: exercises blocking
-  // a worker on a downstream RPC (the SemTree navigation pattern).
+  // a worker on a downstream RPC. In SemTree only build-partition does
+  // this, calling AdoptLeaf on fresh partitions that call nobody.
   Cluster cluster;
   ComputeNode* b = cluster.AddNode();
   b->RegisterHandler(kAddOne, [&cluster](const Message& m) {

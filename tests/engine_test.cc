@@ -4,8 +4,8 @@
 // must be byte-identical to sequential single-query execution across
 // every SpatialIndex backend and the distributed SemTree, the sharded
 // result cache must hit on repeats and invalidate on mutation (epoch
-// bump), and the coalesced distributed batch protocol must spend fewer
-// messages than one RPC per query.
+// bump), and a distributed batch must answer (and cost) each query
+// exactly as its single-query call would, under every budget.
 
 #include <gtest/gtest.h>
 
@@ -299,7 +299,7 @@ TEST(EngineCacheTest, MetricIsPartOfTheCacheKey) {
 }
 
 // ---------------------------------------------------------------------
-// Distributed target: the coalesced batch protocol.
+// Distributed target: SemTree::BatchSearch.
 
 std::unique_ptr<SemTree> MakeLoadedTree(
     const std::vector<std::vector<double>>& rows, size_t partitions) {
@@ -375,34 +375,49 @@ TEST(DistributedBatchTest, KZeroReturnsEmptyEverywhere) {
   EXPECT_TRUE(single->empty());
 }
 
-TEST(DistributedBatchTest, CoalescingSpendsFewerMessagesThanPerQueryRpcs) {
+TEST(DistributedBatchTest, AnswersEachQueryAsItsSingleCallUnderEveryBudget) {
+  // 4 partitions, 300 points in 4 dimensions, bucket 8: small enough
+  // that the capped budgets below cut most queries short.
   const size_t kDims = 4;
-  auto rows = RandomVectors(600, kDims, 51);
-  auto tree = MakeLoadedTree(rows, /*partitions=*/5);
+  auto rows = RandomVectors(300, kDims, 51);
+  auto tree = MakeLoadedTree(rows, /*partitions=*/4);
   ASSERT_GT(tree->PartitionCount(), 1u);
 
-  auto batch = MixedBatch(RandomVectors(32, kDims, 52));
+  const SearchBudget budgets[] = {
+      SearchBudget::Exact(), SearchBudget::MaxDistances(20),
+      SearchBudget::MaxNodes(4), SearchBudget::Epsilon(1.0)};
+  for (size_t b = 0; b < std::size(budgets); ++b) {
+    const SearchBudget& budget = budgets[b];
+    auto batch = MixedBatch(RandomVectors(12, kDims, 52));
+    for (SpatialQuery& q : batch) q.budget = budget;
+    DistributedSearchStats bstats;
+    std::vector<uint8_t> truncated;
+    auto results = tree->BatchSearch(batch, &bstats, &truncated);
+    ASSERT_TRUE(results.ok()) << results.status().ToString();
+    ASSERT_EQ(truncated.size(), batch.size());
 
-  uint64_t before_seq = tree->NetworkStats().messages;
-  for (const SpatialQuery& q : batch) {
-    if (q.type == QueryType::kKnn) {
-      ASSERT_TRUE(tree->KnnSearch(q.coords, q.k).ok());
-    } else {
-      ASSERT_TRUE(tree->RangeSearch(q.coords, q.radius).ok());
+    uint64_t messages = 0;
+    size_t visited = 0;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const SpatialQuery& q = batch[i];
+      DistributedSearchStats stats;
+      auto want = q.type == QueryType::kKnn
+                      ? tree->KnnSearch(q.coords, q.k, budget, &stats)
+                      : tree->RangeSearch(q.coords, q.radius, budget, &stats);
+      ASSERT_TRUE(want.ok());
+      std::string context =
+          "budget " + std::to_string(b) + " slot " + std::to_string(i);
+      ExpectSameNeighbors((*results)[i], *want, context);
+      EXPECT_EQ(truncated[i] != 0, stats.truncated) << context;
+      messages += stats.messages;
+      visited += stats.partitions_visited;
     }
+    // Nothing is coalesced: the batch costs exactly its queries sent
+    // one by one.
+    EXPECT_EQ(bstats.messages, messages);
+    EXPECT_EQ(bstats.partitions_visited, visited);
+    EXPECT_EQ(bstats.truncated, !budget.exact());
   }
-  uint64_t sequential = tree->NetworkStats().messages - before_seq;
-
-  uint64_t before_batch = tree->NetworkStats().messages;
-  ASSERT_TRUE(tree->BatchSearch(batch).ok());
-  uint64_t batched = tree->NetworkStats().messages - before_batch;
-
-  // The whole point of coalescing: per-partition sub-queries share
-  // messages, so the batch spends strictly less interconnect traffic.
-  EXPECT_LT(batched, sequential);
-  // And at minimum the per-query request/response pairs collapse into
-  // far fewer envelopes than 2 * |batch|.
-  EXPECT_LT(batched, 2 * batch.size());
 }
 
 TEST(DistributedBatchTest, EngineOverSemTreeMatchesAndCaches) {

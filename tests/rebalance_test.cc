@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/distance.h"
 #include "persist/wire.h"
 #include "semtree/semtree.h"
 #include "workload/workload_gen.h"
@@ -264,6 +265,31 @@ TEST(RebalanceTest, StartStopRebalancerLifecycle) {
   EXPECT_TRUE(tree->CheckInvariants().ok());
 }
 
+// A mid-step answer may miss members (DESIGN.md §12), but it never
+// fabricates one: every neighbor is a stored point at its true
+// distance, in (distance, id) order, and range members lie within the
+// radius. k-NN still returns exactly k: no step takes every point out
+// of reach at once.
+void ExpectSoundAnswer(const std::vector<Neighbor>& got,
+                       const SpatialQuery& q,
+                       const std::vector<KdPoint>& corpus) {
+  for (size_t i = 0; i < got.size(); ++i) {
+    const Neighbor& n = got[i];
+    ASSERT_LT(n.id, corpus.size());
+    EXPECT_EQ(n.distance, EuclideanDistance(q.coords, corpus[n.id].coords))
+        << "id " << n.id;
+    if (i > 0) {
+      EXPECT_TRUE(NeighborDistanceThenId(got[i - 1], n));
+    }
+    if (q.type == QueryType::kRange) {
+      EXPECT_LE(n.distance, q.radius);
+    }
+  }
+  if (q.type == QueryType::kKnn) {
+    EXPECT_EQ(got.size(), q.k);
+  }
+}
+
 TEST(RebalanceTest, ConcurrentReadersSeeConsistentResults) {
   SemTreeOptions opts = RebalanceOpts();
   opts.rebalance.interval = std::chrono::milliseconds(1);
@@ -271,7 +297,10 @@ TEST(RebalanceTest, ConcurrentReadersSeeConsistentResults) {
   auto tree = MakeLoadedTree(opts, corpus);
   ASSERT_TRUE(tree->StartRebalancer().ok());
 
-  std::atomic<uint64_t> results_seen{0};
+  // Readers alternate KnnSearch, RangeSearch and a mixed BatchSearch,
+  // so range subtrees handed back to the caller are re-issued across
+  // rebalance steps too.
+  std::atomic<uint64_t> answers{0};
   std::vector<std::thread> readers;
   for (size_t t = 0; t < 4; ++t) {
     readers.emplace_back([&, t]() {
@@ -279,16 +308,38 @@ TEST(RebalanceTest, ConcurrentReadersSeeConsistentResults) {
         // Every reader leans on the hot prefix so the rebalancer has
         // something to act on *while* they read.
         size_t key = (t * 997 + i * 13) % 80;
-        auto r = tree->KnnSearch(corpus[key].coords, 8);
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
-        ASSERT_EQ(r->size(), 8u);
-        results_seen.fetch_add(r->size(), std::memory_order_relaxed);
+        SpatialQuery knn = SpatialQuery::Knn(corpus[key].coords, 8);
+        SpatialQuery range = SpatialQuery::Range(corpus[key].coords, 0.15);
+        std::vector<SpatialQuery> asked;
+        std::vector<std::vector<Neighbor>> got;
+        if (i % 3 == 0) {
+          auto r = tree->KnnSearch(knn.coords, knn.k);
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+          asked = {knn};
+          got = {std::move(*r)};
+        } else if (i % 3 == 1) {
+          auto r = tree->RangeSearch(range.coords, range.radius);
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+          asked = {range};
+          got = {std::move(*r)};
+        } else {
+          asked = {range, knn};
+          auto r = tree->BatchSearch(asked);
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+          got = std::move(*r);
+        }
+        ASSERT_EQ(got.size(), asked.size());
+        for (size_t j = 0; j < asked.size(); ++j) {
+          ExpectSoundAnswer(got[j], asked[j], corpus);
+        }
+        answers.fetch_add(asked.size(), std::memory_order_relaxed);
       }
     });
   }
   for (std::thread& th : readers) th.join();
   tree->StopRebalancer();
-  EXPECT_EQ(results_seen.load(), 4u * 250u * 8u);
+  // Per reader: 84 k-NN, 83 range and 83 two-query batches.
+  EXPECT_EQ(answers.load(), 4u * (84u + 83u + 2u * 83u));
   EXPECT_EQ(tree->size(), corpus.size());
   EXPECT_TRUE(tree->CheckInvariants().ok());
 
@@ -342,6 +393,43 @@ TEST(RebalanceTest, ConcurrentInsertsLandExactlyOnce) {
       EXPECT_TRUE(found) << "lost insert id " << batch[i].id;
     }
   }
+}
+
+TEST(RebalanceTest, ConcurrentRemovesRacingSplitsLandExactlyOnce) {
+  SemTreeOptions opts = RebalanceOpts();
+  opts.rebalance.interval = std::chrono::milliseconds(1);
+  // Splits only: a split keeps serving its subtree until the install,
+  // so a remove never misses its point, and the install takes the
+  // removal over to the copy built on the new seats.
+  opts.rebalance.merge_max_points = 0;
+  opts.rebalance.allow_migrate = false;
+  auto corpus = SkewedCorpus(2000);
+  auto tree = MakeLoadedTree(opts, corpus);
+  ASSERT_TRUE(tree->StartRebalancer().ok());
+
+  // Each writer removes every third point of the hot prefix, with
+  // k-NN traffic in between so the prefix stays hot.
+  constexpr size_t kWriters = 3;
+  constexpr size_t kHot = 600;
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w]() {
+      for (size_t id = w; id < kHot; id += kWriters) {
+        Status st = tree->Remove(corpus[id].coords, corpus[id].id);
+        ASSERT_TRUE(st.ok()) << "id " << id << ": " << st.ToString();
+        auto r = tree->KnnSearch(corpus[(id * 7) % kHot].coords, 4);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+      }
+    });
+  }
+  for (std::thread& th : writers) th.join();
+  tree->StopRebalancer();
+
+  EXPECT_EQ(tree->size(), corpus.size() - kHot);
+  EXPECT_TRUE(tree->CheckInvariants().ok());
+  std::vector<KdPoint> kept(corpus.begin() + kHot, corpus.end());
+  auto twin = MakeLoadedTree(RebalanceOpts(), kept);
+  ExpectQueriesIdentical(*tree, *twin, corpus);
 }
 
 }  // namespace

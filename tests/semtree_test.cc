@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "common/random.h"
 #include "kdtree/linear_scan.h"
 #include "semtree/semtree.h"
@@ -171,12 +174,80 @@ TEST(SemTreeTest, DistributedQueriesCrossPartitions) {
   auto knn = (*tree)->KnnSearch({0.0, 0.0}, 20, &stats);
   ASSERT_TRUE(knn.ok());
   EXPECT_EQ(knn->size(), 20u);
-  EXPECT_GT(stats.messages_after, stats.messages_before);
+  // More than one request/response pair: the item was forwarded.
+  EXPECT_GT(stats.messages, 2u);
 
   DistributedSearchStats rstats;
   auto range = (*tree)->RangeSearch({0.0, 0.0}, 1.0, &rstats);
   ASSERT_TRUE(range.ok());
   EXPECT_GT(rstats.partitions_visited, 1u);
+}
+
+TEST(SemTreeTest, PerQueryMessageCountsIgnoreOtherClients) {
+  SemTreeOptions opts;
+  opts.dimensions = 2;
+  opts.bucket_size = 4;
+  opts.max_partitions = 9;
+  opts.partition_capacity = 50;
+  auto tree = SemTree::Create(opts);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_TRUE((*tree)->BulkInsert(RandomPoints(1000, 2, 23)).ok());
+  ASSERT_GT((*tree)->PartitionCount(), 1u);
+
+  // Mixed queries: k-NN and range, exact and budgeted.
+  Rng rng(29);
+  std::vector<SpatialQuery> queries;
+  for (size_t i = 0; i < 24; ++i) {
+    std::vector<double> q = {rng.UniformDouble(-1.0, 1.0),
+                             rng.UniformDouble(-1.0, 1.0)};
+    SearchBudget budget =
+        i % 3 == 2 ? SearchBudget::MaxNodes(6) : SearchBudget::Exact();
+    queries.push_back(
+        i % 2 == 0 ? SpatialQuery::Knn(q, 1 + i % 9, budget)
+                   : SpatialQuery::Range(q, 0.1 + 0.05 * double(i % 4),
+                                         budget));
+  }
+  auto run = [&](const SpatialQuery& q, DistributedSearchStats* stats) {
+    auto r = q.type == QueryType::kKnn
+                 ? (*tree)->KnnSearch(q.coords, q.k, q.budget, stats)
+                 : (*tree)->RangeSearch(q.coords, q.radius, q.budget,
+                                        stats);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  };
+
+  // One client: each query's own count is the interconnect's delta.
+  std::vector<DistributedSearchStats> single(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    uint64_t before = (*tree)->NetworkStats().messages;
+    run(queries[i], &single[i]);
+    EXPECT_EQ(single[i].messages, (*tree)->NetworkStats().messages - before)
+        << "query " << i;
+    EXPECT_GE(single[i].messages, 2u) << "query " << i;
+  }
+
+  // Four clients at once, each starting at a different query: the
+  // global counter mixes their traffic, the per-query counts do not.
+  constexpr size_t kClients = 4;
+  std::vector<std::vector<DistributedSearchStats>> seen(
+      kClients, std::vector<DistributedSearchStats>(queries.size()));
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c]() {
+      for (size_t j = 0; j < queries.size(); ++j) {
+        size_t i = (j + c * queries.size() / kClients) % queries.size();
+        run(queries[i], &seen[c][i]);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (size_t c = 0; c < kClients; ++c) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(seen[c][i].messages, single[i].messages)
+          << "client " << c << " query " << i;
+      EXPECT_EQ(seen[c][i].partitions_visited, single[i].partitions_visited)
+          << "client " << c << " query " << i;
+    }
+  }
 }
 
 TEST(SemTreeTest, ConcurrentClientInsertsAllLand) {
