@@ -307,7 +307,6 @@ int Main(int argc, char** argv) {
   json.AddInt("points_moved", dbg.rebalance.points_moved);
   json.AddInt("strands_reinserted", dbg.rebalance.strands_reinserted);
   json.AddInt("partitions", dbg.partitions.size());
-  json.AddInt("free_partitions", dbg.free_partitions.size());
   json.BeginRecord();
   json.AddStr("record", "summary");
   json.AddNum("throughput_ratio", ratio);

@@ -64,8 +64,7 @@ class ComputeNode {
   size_t mailbox_high_watermark() const {
     return mailbox_.high_watermark();
   }
-  /// Messages currently queued (instantaneous backlog; the
-  /// rebalancer's per-node load signal for migration targeting).
+  /// Messages currently queued (instantaneous backlog).
   size_t mailbox_depth() const { return mailbox_.size(); }
 
  private:

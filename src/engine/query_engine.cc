@@ -79,9 +79,9 @@ uint64_t QueryEngine::epoch() const {
   }
   // Fold in the tree's rebalance epoch: it is bumped at the start AND
   // end of every structural rebalance step (odd mid-step), so entries
-  // cached against routing that a split/merge/migration is rewriting
-  // can never be served once the step lands — the combined epoch has
-  // already moved on. Both counters are monotone, so the sum is too.
+  // cached against routing that a split is rewriting can never be
+  // served once the step lands — the combined epoch has already moved
+  // on. Both counters are monotone, so the sum is too.
   return tree_epoch_.load(std::memory_order_acquire) +
          tree_->rebalance_epoch();
 }

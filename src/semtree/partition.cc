@@ -50,9 +50,7 @@ void Partition::SplitLeafIfNeeded(int32_t leaf) {
 
 int32_t Partition::AdoptRoot() {
   // Reuse the pristine initial root so adopted partitions do not keep
-  // an orphan empty leaf around. A freed seat's killed root (see
-  // Evacuate, DESIGN.md §12) is NOT pristine: it must stay dead so
-  // straggler traffic keeps getting stale responses.
+  // an orphan empty leaf around.
   if (points_ == 0 && roots_.size() == 1 && nodes_.size() == 1 &&
       nodes_[0].is_leaf && !nodes_[0].is_dead && nodes_[0].bucket.empty()) {
     return roots_[0];
@@ -216,25 +214,6 @@ void Partition::DetachSubtree(int32_t root) {
   }
 }
 
-void Partition::UnregisterRoot(int32_t node) {
-  for (size_t i = 1; i < roots_.size(); ++i) {
-    if (roots_[i] == node) {
-      roots_.erase(roots_.begin() + static_cast<ptrdiff_t>(i));
-      return;
-    }
-  }
-}
-
-void Partition::Reset() {
-  store_ = PointStore(dimensions_);
-  nodes_.clear();
-  roots_.clear();
-  points_ = 0;
-  load_ops_ = 0.0;
-  load_distances_ = 0.0;
-  roots_.push_back(NewLeaf());
-}
-
 void Partition::SaveTo(persist::ByteWriter* out) const {
   out->PutU64(dimensions_);
   out->PutU64(bucket_size_);
@@ -263,8 +242,7 @@ void Partition::SaveTo(persist::ByteWriter* out) const {
 }
 
 Status Partition::RestoreFrom(persist::ByteReader* in,
-                              size_t expected_partitions,
-                              int32_t remap_from) {
+                              size_t expected_partitions) {
   SEMTREE_ASSIGN_OR_RETURN(uint64_t dimensions, in->U64());
   SEMTREE_ASSIGN_OR_RETURN(uint64_t bucket_size, in->U64());
   SEMTREE_ASSIGN_OR_RETURN(uint64_t points, in->U64());
@@ -318,13 +296,6 @@ Status Partition::RestoreFrom(persist::ByteReader* in,
     SEMTREE_ASSIGN_OR_RETURN(n.right.partition, in->I32());
     SEMTREE_ASSIGN_OR_RETURN(n.right.node, in->I32());
     SEMTREE_ASSIGN_OR_RETURN(n.bucket, in->U32Array());
-    // Migration remap: the blob was written by partition `remap_from`;
-    // its local edges become local edges of this seat (node indexes
-    // are arena positions, preserved verbatim by this loop).
-    if (remap_from >= 0) {
-      if (n.left.partition == remap_from) n.left.partition = id_;
-      if (n.right.partition == remap_from) n.right.partition = id_;
-    }
     if (n.is_leaf) {
       for (Slot s : n.bucket) {
         if (s >= store.slot_count()) {

@@ -53,7 +53,9 @@ struct PartitionStats {
   /// partition-local rebuilds and warm restarts.
   double load_ops = 0.0;
   double load_distances = 0.0;
-  uint64_t rebalances = 0;  ///< Rebalance actions applied here.
+  /// Splits installed on this seat as their source; the seats that
+  /// receive the halves do not count them.
+  uint64_t rebalances = 0;
 
   std::string ToString() const;
 };
@@ -86,7 +88,7 @@ class Partition {
   /// One KD-tree node hosted in this partition.
   struct PNode {
     bool is_leaf = true;
-    bool is_dead = false;      // Migrated away by build-partition.
+    bool is_dead = false;      // Drained by build-partition or a split.
     uint32_t split_dim = 0;    // Sr
     double split_value = 0.0;  // Sv
     ChildRef left;
@@ -105,7 +107,8 @@ class Partition {
   /// A partition may host several disjoint subtrees: its original root
   /// plus any leaves adopted from saturated partitions (build-partition
   /// distributes leaves round-robin, so one compute node can receive
-  /// more than one). The first root is node 0.
+  /// more than one), or both halves of a split that found only one
+  /// seat left (DESIGN.md §12). The first root is node 0.
   const std::vector<int32_t>& roots() const { return roots_; }
   int32_t root_node() const { return roots_[0]; }
 
@@ -198,18 +201,6 @@ class Partition {
   /// accounting, mirroring ExtractLeafBlock.
   void DetachSubtree(int32_t root);
 
-  /// Drops `node` from the roots list after a merge turned it into an
-  /// internal node of this same partition (a local parent edge now
-  /// reaches it, so keeping it a root would double-count the subtree
-  /// in every roots_ walk). The primary root (node 0) is never
-  /// dropped.
-  void UnregisterRoot(int32_t node);
-
-  /// Returns this partition to its pristine just-constructed state
-  /// (empty arena, one empty leaf root) and zeroes the load counters.
-  /// `rebalances()` is kept: it counts what happened to the seat.
-  void Reset();
-
   /// Local statistics (traverses the live local subtree).
   PartitionStats Stats() const;
 
@@ -220,13 +211,8 @@ class Partition {
   void SaveTo(persist::ByteWriter* out) const;
 
   /// Replaces all state with a saved blob's. `expected_partitions`
-  /// bounds the ChildRef partition ids the blob may reference. When
-  /// `remap_from` >= 0, ChildRefs naming that partition id are
-  /// rewritten to this partition's own id — the migration restore
-  /// (DESIGN.md §12): node indexes are preserved, so inbound edges can
-  /// be retargeted 1:1 to the new seat.
-  Status RestoreFrom(persist::ByteReader* in, size_t expected_partitions,
-                     int32_t remap_from = -1);
+  /// bounds the ChildRef partition ids the blob may reference.
+  Status RestoreFrom(persist::ByteReader* in, size_t expected_partitions);
 
  private:
   int32_t id_;
@@ -236,7 +222,7 @@ class Partition {
   std::vector<PNode> nodes_;
   std::vector<int32_t> roots_;
   size_t points_ = 0;
-  // Decayed load counters + rebalance event count (DESIGN.md §12).
+  // Decayed load counters + split-install count (DESIGN.md §12).
   // Worker-thread confined, like everything above.
   double load_ops_ = 0.0;
   double load_distances_ = 0.0;

@@ -38,11 +38,6 @@ constexpr uint32_t kSnapshotMsg = 11;
 constexpr uint32_t kRestoreMsg = 12;
 // Online rebalancing (DESIGN.md §12).
 constexpr uint32_t kSplitMsg = 13;
-constexpr uint32_t kMergeMsg = 14;
-constexpr uint32_t kMigrateMsg = 15;
-constexpr uint32_t kRetargetMsg = 16;
-constexpr uint32_t kEvacuateMsg = 17;
-constexpr uint32_t kEdgesMsg = 18;
 constexpr uint32_t kInstallSplitMsg = 19;
 
 struct InsertRequest {
@@ -176,6 +171,9 @@ struct StatsResponse {
   PartitionStats stats;
   std::vector<SubtreeInfo> subtrees;  // Only when include_subtrees.
 };
+// Builds a balanced subtree over the block under a fresh root of the
+// target partition: one region of a bulk load, or one half of a split
+// (DESIGN.md §12). The tree total is the client's to account.
 struct BulkBuildRequest {
   PointBlock block;
 };
@@ -210,11 +208,6 @@ struct SnapshotResponse {
 struct RestoreRequest {
   std::string blob;
   size_t partition_count = 0;  // ChildRef partition-id bound.
-  // Migration (DESIGN.md §12): ChildRefs naming this partition id in
-  // the blob are rewritten to the restoring partition's own id, so a
-  // whole partition relocates onto a new seat with its node indexes
-  // (and therefore every inbound edge's target node) preserved.
-  int32_t remap_from = -1;
 };
 struct RestoreResponse {
   bool ok = false;
@@ -242,71 +235,6 @@ struct SplitResponse {
   double split_value = 0.0;
   PointBlock left;
   PointBlock right;
-};
-
-// Source-side drain of a fully-local subtree into one block (merge
-// phase, and strand collection after a retarget). `kill` additionally
-// marks the emptied root dead — used once the root is unreachable, so
-// late in-flight traffic gets a stale response instead of storing
-// points into an abandoned node.
-struct MergeRequest {
-  int32_t root = -1;
-  bool kill = false;
-};
-struct MergeResponse {
-  bool ok = false;
-  std::string error;
-  PointBlock block;
-};
-
-// Target-side adopt of a shipped block: a fresh root is allocated and
-// a balanced subtree built over the block (PR 6 pipeline). The reply
-// names the new root so the coordinator can link it.
-struct MigrateRequest {
-  PointBlock block;
-  SplitPolicy policy = SplitPolicy::kMedian;
-  size_t build_threads = 1;
-};
-struct MigrateResponse {
-  int32_t root_node = -1;
-};
-
-// Edits one child slot of a routing node — the atomic routing-table
-// publication step of every rebalance move (the write happens on the
-// owning worker thread, so readers see either the old or the new edge,
-// never a torn one).
-struct RetargetRequest {
-  int32_t parent_node = -1;
-  bool is_left = false;
-  ChildRef child;
-};
-struct RetargetResponse {
-  bool ok = false;
-  std::string error;
-};
-
-// Atomic whole-partition evacuation (migration transfer format = the
-// PR 3 per-partition snapshot blob): serialize, reset to pristine, and
-// kill the root in ONE handler activation, so the blob and the
-// emptied seat can never diverge and late arrivals always get stale
-// responses rather than landing in an abandoned partition.
-struct EvacuateRequest {
-  bool want_blob = true;  // false: reset-only (freeing a merged seat).
-};
-struct EvacuateResponse {
-  std::string blob;
-  uint64_t points = 0;  // Points carried by the blob.
-};
-
-// Inventory of this partition's live outbound cross-partition edges.
-struct EdgeInfo {
-  int32_t parent_node = -1;
-  bool is_left = false;
-  ChildRef child;
-};
-struct EdgesRequest {};
-struct EdgesResponse {
-  std::vector<EdgeInfo> edges;
 };
 
 // Final step of a split: drain the subtree under `node` and convert

@@ -3,12 +3,11 @@
 // Public knobs and observability structs of the online skew-aware
 // partition rebalancer (DESIGN.md §12). The rebalancer itself is part
 // of SemTree (semtree/rebalance.cc): a client-side coordinator that
-// watches decayed per-partition load counters and, one bounded action
-// per tick, splits overloaded partitions (ChooseSplitForPolicy over
-// the drained subtree, halves shipped as PointBlocks), folds cold
-// partitions back into their parents, and migrates hot-but-unsplittable
-// partitions onto idle seats using the PR 3 snapshot blob as transfer
-// format — all while readers keep running lock-free.
+// watches decayed per-partition load counters and, at most once per
+// tick, splits a subtree of the hottest overloaded partition onto
+// fresh seats (ChooseSplitForPolicy over a copy of the subtree, halves
+// shipped as PointBlocks) while readers keep running lock-free. Like
+// the paper's build-partition, it only ever grows the partitioning.
 
 #ifndef SEMTREE_SEMTREE_REBALANCE_H_
 #define SEMTREE_SEMTREE_REBALANCE_H_
@@ -38,40 +37,30 @@ struct RebalanceOptions {
   /// of the mean score.
   double split_load_factor = 2.0;
 
-  /// A partition is folded back into its parents when its load score
-  /// is below this multiple of the mean (and it is small enough).
-  double merge_load_factor = 0.25;
-
   /// Minimum points a subtree must hold to be worth splitting.
   size_t min_split_points = 256;
 
-  /// Only partitions at most this large are merge candidates.
-  size_t merge_max_points = 4096;
-
   /// A tick is a no-op below this much total observed load score.
   double min_total_load = 1.0;
-
-  /// Allow whole-partition migration of hot-but-unsplittable
-  /// partitions onto idle seats.
-  bool allow_migrate = true;
 };
 
 /// Monotone counters of rebalance activity (SemTree::DebugStats).
 struct RebalanceCounters {
   uint64_t ticks = 0;
   uint64_t splits = 0;
-  uint64_t merges = 0;       ///< Subtrees folded into a parent.
-  uint64_t migrations = 0;   ///< Whole-partition seat moves.
-  uint64_t points_moved = 0; ///< Points shipped in blocks and blobs.
+  /// Always 0: the rebalancer only splits. Kept because perfbench/
+  /// reports them.
+  uint64_t merges = 0;
+  uint64_t migrations = 0;
+  uint64_t points_moved = 0; ///< Points shipped in split halves.
   uint64_t strands_reinserted = 0;  ///< Mid-window arrivals re-routed.
 };
 
 /// One-stop debugging/observability snapshot of the distributed tree:
 /// per-partition stats (sizes, load counters, per-partition rebalance
-/// counts), the free-seat pool, and the tree-level rebalance counters.
+/// counts) and the tree-level rebalance counters.
 struct SemTreeDebugStats {
   std::vector<PartitionStats> partitions;
-  std::vector<int32_t> free_partitions;  ///< Seats drained and reusable.
   RebalanceCounters rebalance;
   uint64_t rebalance_epoch = 0;  ///< Odd while a step is in flight.
   size_t total_points = 0;

@@ -53,12 +53,11 @@ void SearchStep(Partition* p, SearchItem* item) {
       stack.pop_back();
     }
   };
-  // Stale-frame guard. A dead node, or an out-of-range index, means the
-  // frame was captured before a structural change rewrote this
-  // partition (e.g. a migration reset the arena): the subtree it pointed
-  // at now lives behind a retargeted edge the traversal has already
-  // consulted or will re-enter through the parent, so the frame is
-  // dropped.
+  // Stale-frame guard. A dead node was drained by a structural change
+  // (build-partition moving a leaf, or a split's install, DESIGN.md
+  // §12) after the frame was captured; its points now sit behind a
+  // routing node the traversal has passed, so the frame is dropped, as
+  // is an out-of-range index.
   if (frame.node < 0 ||
       static_cast<size_t>(frame.node) >= p->arena_size() ||
       p->node(frame.node).is_dead) {
@@ -594,7 +593,6 @@ void SemTree::HandleAdoptLeaf(Partition* p, const Message& msg) {
 void SemTree::HandleBulkBuild(Partition* p, const Message& msg) {
   auto& req = PayloadAs<BulkBuildRequest>(msg.payload);
   int32_t root = p->AdoptRoot();
-  total_points_.fetch_add(req.block.size(), std::memory_order_relaxed);
   BulkBuildOptions build;
   build.policy = options_.split_policy;
   build.build_threads = options_.build_threads;
@@ -741,6 +739,7 @@ Status SemTree::BulkLoadBalanced(PointBlock points) {
   if (points.dimensions != options_.dimensions) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
+  const size_t count = points.size();
 
   size_t data_partitions =
       options_.max_partitions > 1 ? options_.max_partitions - 1 : 1;
@@ -766,6 +765,7 @@ Status SemTree::BulkLoadBalanced(PointBlock points) {
                               MakePayload<BulkBuildRequest>(std::move(req)),
                               bytes));
     (void)resp;
+    total_points_.fetch_add(count, std::memory_order_relaxed);
     return Status::OK();
   }
 
@@ -800,6 +800,7 @@ Status SemTree::BulkLoadBalanced(PointBlock points) {
     auto& resp = PayloadAs<BulkBuildResponse>(payload);
     region_refs[r] = ChildRef{pending[r].partition, resp.root_node};
   }
+  total_points_.fetch_add(count, std::memory_order_relaxed);
 
   // Patch region placeholders with the real ChildRefs and install the
   // skeleton in the root partition.
@@ -952,7 +953,7 @@ void SemTree::HandleSnapshot(Partition* p, const Message& msg) {
 void SemTree::HandleRestore(Partition* p, const Message& msg) {
   auto& req = PayloadAs<RestoreRequest>(msg.payload);
   persist::ByteReader in(req.blob);
-  Status st = p->RestoreFrom(&in, req.partition_count, req.remap_from);
+  Status st = p->RestoreFrom(&in, req.partition_count);
   RestoreResponse resp;
   resp.ok = st.ok();
   if (!st.ok()) resp.error = st.ToString();

@@ -96,8 +96,8 @@ struct SemTreeOptions {
 
   /// Caps the data partitions BulkLoadBalanced spreads the corpus
   /// over; 0 = auto (max_partitions - 1, the historical behavior).
-  /// Setting it below max_partitions - 1 leaves idle seats for the
-  /// online rebalancer to split into (DESIGN.md §12).
+  /// Setting it below max_partitions - 1 leaves seats for the online
+  /// rebalancer to split onto (DESIGN.md §12).
   size_t bulk_load_partitions = 0;
 
   /// Online rebalancer policy (semtree/rebalance.h). The rebalancer
@@ -219,12 +219,12 @@ class SemTree {
   std::vector<PartitionStats> AllPartitionStats() const;
 
   /// One bounded rebalance pass (DESIGN.md §12): reads the decayed
-  /// per-partition load counters and performs at most ONE structural
-  /// action — split the hottest overloaded partition, else fold the
-  /// coldest underloaded one back into its parents, else migrate a
-  /// hot-but-unsplittable partition onto an idle seat. Runs
-  /// concurrently with readers and writers; thread-safe (at most one
-  /// pass at a time). Returns OK when nothing qualified.
+  /// per-partition load counters in one stats round and splits at most
+  /// ONE subtree of the hottest overloaded partition onto fresh seats.
+  /// Once every seat up to max_partitions is taken, a pass only reads
+  /// (and decays) the counters. Runs concurrently with readers and
+  /// writers; thread-safe (at most one pass at a time). Returns OK when
+  /// nothing qualified.
   Status RebalanceTick();
 
   /// Spawns a background thread calling RebalanceTick every
@@ -244,7 +244,7 @@ class SemTree {
   }
 
   /// Observability snapshot: per-partition stats (sizes + load
-  /// counters), the free-seat pool and the rebalance counters.
+  /// counters) and the rebalance counters.
   SemTreeDebugStats DebugStats() const;
 
   /// Interconnect statistics.
@@ -298,54 +298,23 @@ class SemTree {
   void RegisterRebalanceHandlers(Partition* partition, ComputeNode* node);
   void HandleSplit(Partition* p, const Message& msg);
   void HandleInstallSplit(Partition* p, const Message& msg);
-  void HandleMerge(Partition* p, const Message& msg);
-  void HandleMigrate(Partition* p, const Message& msg);
-  void HandleRetarget(Partition* p, const Message& msg);
-  void HandleEvacuate(Partition* p, const Message& msg);
-  void HandleEdges(Partition* p, const Message& msg);
 
-  // One live cross-partition edge: `partition`'s routing node
-  // `parent_node` points at `child` on its `is_left` side.
-  struct EdgeLocation {
-    int32_t partition = -1;
-    int32_t parent_node = -1;
-    bool is_left = false;
-    ChildRef child;
-  };
   // The coordinator's cluster-wide view for one tick: per-partition
-  // stats (with load counters), subtree inventories, and every live
-  // cross-partition edge.
+  // stats (with load counters) and subtree inventories.
   struct LoadSnapshot {
     std::vector<PartitionStats> stats;             // By partition id.
     std::vector<std::vector<SubtreeInfo>> subtrees;  // By partition id.
-    std::vector<EdgeLocation> edges;
     double total_score = 0.0;
     size_t active = 0;  // Partitions with data or routing load.
   };
   Result<LoadSnapshot> GatherLoad(double decay) const;
-  Result<bool> TrySplit(const LoadSnapshot& snap)
-      REQUIRES(rebalance_mu_);
-  Result<bool> TryMerge(const LoadSnapshot& snap)
-      REQUIRES(rebalance_mu_);
-  Result<bool> TryMigrate(const LoadSnapshot& snap)
-      REQUIRES(rebalance_mu_);
-  // Re-routes points that arrived inside a rebalance window through
-  // normal insertion (adjusting total_points_ first, so the re-insert
-  // does not double-count them).
-  Status ReinsertBlock(const PointBlock& block) REQUIRES(rebalance_mu_);
+  // Splits one subtree when a partition qualifies and a seat is left;
+  // OK when nothing qualified.
+  Status TrySplit(const LoadSnapshot& snap) REQUIRES(rebalance_mu_);
   // After a subtree was copied, the copy rebuilt elsewhere and the
   // original drained: re-inserts what the original gained since the
   // copy and removes from the tree what it lost.
   Status ReconcileCopy(const PointBlock& copied, const PointBlock& drained)
-      REQUIRES(rebalance_mu_);
-  // A free seat with id in (above, below), or a fresh partition when
-  // `below` is unbounded; -1 when none qualifies. Ids grow along edges,
-  // so every rebalance target is constrained by its future neighbors.
-  // Deadlock freedom does not need the rule: no search handler waits on
-  // another node (DESIGN.md §2). It is kept because it decides which
-  // seats a split lands on, and so the layout the rebalancer leaves;
-  // changing it is a layout decision (DESIGN.md §12).
-  int32_t AcquireSeat(int32_t above, int32_t below)
       REQUIRES(rebalance_mu_);
   void RebalancerLoop();
 
@@ -376,11 +345,10 @@ class SemTree {
   std::atomic<size_t> total_points_{0};
 
   // Rebalancer state (DESIGN.md §12). rebalance_mu_ serializes ticks
-  // and guards the free-seat pool + counters; when a tick creates a
-  // partition it takes partitions_mu_ *inside* rebalance_mu_ (never
-  // the reverse). The epoch is read locklessly by cache layers.
+  // and guards the counters; when a tick creates a partition it takes
+  // partitions_mu_ *inside* rebalance_mu_ (never the reverse). The
+  // epoch is read locklessly by cache layers.
   mutable Mutex rebalance_mu_;
-  std::vector<int32_t> free_seats_ GUARDED_BY(rebalance_mu_);
   RebalanceCounters rebalance_counters_ GUARDED_BY(rebalance_mu_);
   std::atomic<uint64_t> rebalance_epoch_{0};
 

@@ -1,10 +1,11 @@
 // Copyright 2026 The SemTree Authors
 //
 // Tests for the online skew-aware partition rebalancer (DESIGN.md §12):
-// split/merge/migrate are lossless and query-invisible (results stay
-// byte-identical to a never-rebalanced twin), load counters survive
-// snapshot round-trips, and the whole machinery is clean under
-// concurrent readers and writers (the TSan `concurrency` leg).
+// splits are lossless and query-invisible (results stay byte-identical
+// to a never-rebalanced twin), stop cleanly when seats run out, load
+// counters survive snapshot round-trips, and the whole machinery is
+// clean under concurrent readers and writers (the TSan `concurrency`
+// leg).
 
 #include <gtest/gtest.h>
 
@@ -34,7 +35,7 @@ SemTreeOptions RebalanceOpts() {
   opts.dimensions = kDims;
   opts.bucket_size = 16;
   opts.max_partitions = 12;
-  // Leave idle seats below the cap for splits and migrations.
+  // Leave seats below the cap for splits.
   opts.bulk_load_partitions = 2;
   opts.rebalance.min_split_points = 64;
   opts.rebalance.split_load_factor = 1.5;
@@ -127,55 +128,42 @@ TEST(RebalanceTest, SplitIsLosslessAndQueryInvisible) {
   ExpectQueriesIdentical(*tree, *twin, corpus);
 }
 
-TEST(RebalanceTest, MergeFoldsColdPartitionAndFreesSeat) {
+TEST(RebalanceTest, SplitsStopWhenSeatsRunOut) {
   SemTreeOptions opts = RebalanceOpts();
-  opts.rebalance.merge_load_factor = 0.4;
+  // The root plus two data partitions leave one seat.
+  opts.max_partitions = 4;
   auto corpus = SkewedCorpus(2000);
   auto tree = MakeLoadedTree(opts, corpus);
   auto twin = MakeLoadedTree(opts, corpus);
 
-  // Phase 1: make the hot prefix split at least once.
   ASSERT_TRUE(DriveRebalance(tree.get(), corpus, /*hot_keys=*/60,
                              [](const SemTreeDebugStats& d) {
                                return d.rebalance.splits >= 1;
                              }));
-  // Phase 2: shift all traffic to the cold tail; the earlier split
-  // products decay toward the merge trigger and fold back.
-  bool merged = false;
-  for (size_t t = 0; t < 120 && !merged; ++t) {
-    for (size_t i = 0; i < 120; ++i) {
-      size_t key = corpus.size() - 1 - (i % 60);
-      auto r = tree->KnnSearch(corpus[key].coords, 8);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-    }
+  const SemTreeDebugStats first = tree->DebugStats();
+  ASSERT_EQ(first.rebalance.splits, 1u);
+  ASSERT_EQ(tree->PartitionCount(), 4u);
+  ASSERT_EQ(first.partitions.size(), 4u);
+  // Both halves adopted into the last seat.
+  EXPECT_EQ(first.partitions[3].points, first.rebalance.points_moved);
+
+  // The same hot traffic keeps the partition overloaded, but with no
+  // seat left a tick only reads the load counters.
+  for (size_t t = 0; t < 10; ++t) {
+    HammerHotKeys(tree.get(), corpus, 120, 60);
+    const uint64_t before_tick = tree->NetworkStats().messages;
     ASSERT_TRUE(tree->RebalanceTick().ok());
-    merged = tree->DebugStats().rebalance.merges >= 1;
+    const uint64_t tick = tree->NetworkStats().messages - before_tick;
+    const uint64_t before_stats = tree->NetworkStats().messages;
+    tree->AllPartitionStats();
+    const uint64_t stats_round =
+        tree->NetworkStats().messages - before_stats;
+    EXPECT_EQ(tick, stats_round) << "tick " << t;
   }
-  ASSERT_TRUE(merged) << tree->DebugStats().ToString();
-  SemTreeDebugStats dbg = tree->DebugStats();
-  EXPECT_GE(dbg.free_partitions.size(), 1u);  // The folded seat.
-  EXPECT_EQ(tree->size(), corpus.size());
-  EXPECT_TRUE(tree->CheckInvariants().ok());
-  ExpectQueriesIdentical(*tree, *twin, corpus);
-}
-
-TEST(RebalanceTest, MigrateMovesHotUnsplittablePartition) {
-  SemTreeOptions opts = RebalanceOpts();
-  // No subtree can ever qualify for a split, so the only relief for a
-  // hot partition is migration onto a fresh seat.
-  opts.rebalance.min_split_points = 1000000;
-  auto corpus = SkewedCorpus(1000);
-  auto tree = MakeLoadedTree(opts, corpus);
-  auto twin = MakeLoadedTree(opts, corpus);
-
-  ASSERT_TRUE(DriveRebalance(tree.get(), corpus, /*hot_keys=*/40,
-                             [](const SemTreeDebugStats& d) {
-                               return d.rebalance.migrations >= 1;
-                             }));
-  SemTreeDebugStats dbg = tree->DebugStats();
-  EXPECT_GE(dbg.rebalance.migrations, 1u);
-  EXPECT_EQ(dbg.rebalance.splits, 0u);
-  EXPECT_GE(dbg.free_partitions.size(), 1u);  // The evacuated seat.
+  const SemTreeDebugStats last = tree->DebugStats();
+  EXPECT_EQ(last.rebalance.splits, 1u) << last.ToString();
+  EXPECT_EQ(last.rebalance.points_moved, first.rebalance.points_moved);
+  EXPECT_EQ(tree->PartitionCount(), 4u);
   EXPECT_EQ(tree->size(), corpus.size());
   EXPECT_TRUE(tree->CheckInvariants().ok());
   ExpectQueriesIdentical(*tree, *twin, corpus);
@@ -183,14 +171,13 @@ TEST(RebalanceTest, MigrateMovesHotUnsplittablePartition) {
 
 TEST(RebalanceTest, ChainedActionsStayLossless) {
   SemTreeOptions opts = RebalanceOpts();
-  opts.rebalance.merge_load_factor = 0.4;
   auto corpus = SkewedCorpus(3000);
   auto tree = MakeLoadedTree(opts, corpus);
   auto twin = MakeLoadedTree(opts, corpus);
 
-  // Rotate the hot spot through the key space so splits, merges and
-  // (once seats free up) migrations chain; verify losslessness after
-  // every completed tick, not only at the end.
+  // Rotate the hot spot through the key space so splits chain until
+  // the seats run out; verify losslessness after every completed tick,
+  // not only at the end.
   for (size_t round = 0; round < 40; ++round) {
     size_t hot_base = (round * 331) % (corpus.size() - 60);
     for (size_t i = 0; i < 120; ++i) {
@@ -201,10 +188,7 @@ TEST(RebalanceTest, ChainedActionsStayLossless) {
     ASSERT_EQ(tree->size(), corpus.size()) << "round " << round;
   }
   SemTreeDebugStats dbg = tree->DebugStats();
-  EXPECT_GE(dbg.rebalance.splits + dbg.rebalance.merges +
-                dbg.rebalance.migrations,
-            1u)
-      << dbg.ToString();
+  EXPECT_GE(dbg.rebalance.splits, 1u) << dbg.ToString();
   EXPECT_TRUE(tree->CheckInvariants().ok());
   ExpectQueriesIdentical(*tree, *twin, corpus);
 }
@@ -246,7 +230,6 @@ TEST(RebalanceTest, DebugStatsReportsTheTree) {
   SemTreeDebugStats dbg = tree->DebugStats();
   EXPECT_EQ(dbg.partitions.size(), tree->PartitionCount());
   EXPECT_EQ(dbg.total_points, corpus.size());
-  EXPECT_TRUE(dbg.free_partitions.empty());
   double total_ops = 0.0;
   for (const PartitionStats& s : dbg.partitions) total_ops += s.load_ops;
   EXPECT_GT(total_ops, 0.0);  // The hammering was recorded.
@@ -398,11 +381,9 @@ TEST(RebalanceTest, ConcurrentInsertsLandExactlyOnce) {
 TEST(RebalanceTest, ConcurrentRemovesRacingSplitsLandExactlyOnce) {
   SemTreeOptions opts = RebalanceOpts();
   opts.rebalance.interval = std::chrono::milliseconds(1);
-  // Splits only: a split keeps serving its subtree until the install,
-  // so a remove never misses its point, and the install takes the
-  // removal over to the copy built on the new seats.
-  opts.rebalance.merge_max_points = 0;
-  opts.rebalance.allow_migrate = false;
+  // A split keeps serving its subtree until the install, so a remove
+  // never misses its point, and the install takes the removal over to
+  // the copy built on the new seats.
   auto corpus = SkewedCorpus(2000);
   auto tree = MakeLoadedTree(opts, corpus);
   ASSERT_TRUE(tree->StartRebalancer().ok());
