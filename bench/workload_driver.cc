@@ -4,7 +4,7 @@
 // Zipfian mixed-op trace with phase-rotating hot sets, replays it
 // open-loop against a QueryEngine at a target qps, and reports SLO
 // percentiles (p50/p99/p999), throughput, error/shed/truncation rates
-// per phase. Emits BENCH_workload.json for the perf trajectory.
+// per phase. Emits BENCH_workload.json.
 //
 // `--smoke` shrinks the run for CI and turns the bench into a gate:
 // exit 1 unless the run completes with zero errors and non-empty

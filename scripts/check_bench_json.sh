@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Bench-artifact schema check: every BENCH_*.json in the repo root must
-# parse as JSON and carry the envelope the dashboards and diff scripts
-# consume — a non-empty string "bench" and a non-empty "records" list
-# of flat objects whose values are numbers or strings. Catches a bench
-# silently emitting broken or empty artifacts before anyone diffs them.
+# Bench-artifact schema check, run after the benches have written their
+# BENCH_*.json files into the repo root: each must parse as JSON and
+# carry the bench envelope — a non-empty string "bench" and a non-empty
+# "records" list of flat objects whose values are numbers or strings.
+# Catches a bench silently emitting broken or empty artifacts.
 #
 #   scripts/check_bench_json.sh [file ...]   # default: ./BENCH_*.json
 

@@ -236,21 +236,6 @@ ClusterStats Cluster::Stats() const {
   return stats_;
 }
 
-std::vector<Cluster::NodeLoad> Cluster::NodeLoads() const {
-  MutexLock lock(nodes_mu_);
-  std::vector<NodeLoad> out;
-  out.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
-    NodeLoad load;
-    load.id = node->id();
-    load.processed = node->processed();
-    load.queued = node->mailbox_depth();
-    load.queue_high_watermark = node->mailbox_high_watermark();
-    out.push_back(load);
-  }
-  return out;
-}
-
 void Cluster::Shutdown() {
   if (is_shutdown_.exchange(true)) return;
 

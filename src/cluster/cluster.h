@@ -111,18 +111,6 @@ class Cluster {
   ClusterStats Stats() const;
   const ClusterOptions& options() const { return options_; }
 
-  /// Point-in-time load of one compute node.
-  struct NodeLoad {
-    NodeId id = kClientNode;
-    uint64_t processed = 0;        ///< Messages handled so far.
-    size_t queued = 0;             ///< Mailbox backlog right now.
-    size_t queue_high_watermark = 0;
-  };
-
-  /// Per-node load report, ordered by node id. Safe to call while the
-  /// cluster runs; the values are instantaneous, not a consistent cut.
-  std::vector<NodeLoad> NodeLoads() const;
-
  private:
   // Responses travel as messages with this reserved type and are routed
   // to the pending-call registry instead of a node.

@@ -26,7 +26,7 @@ class Cluster;
 /// by the node (e.g. its partition) is mutated serially without locks.
 /// A handler that waits on a nested Cluster::Call parks this worker
 /// until the callee answers, so such waits must never form a cycle.
-/// SemTree keeps exactly one: build-partition waits on AdoptLeaf calls
+/// SemTree keeps exactly one: build-partition waits on bulk-build calls
 /// to freshly created partitions, whose handler calls nobody. Searches
 /// forward their work item or hand subtrees back to the caller, and
 /// never wait.
@@ -61,11 +61,6 @@ class ComputeNode {
   uint64_t processed() const {
     return processed_.load(std::memory_order_relaxed);
   }
-  size_t mailbox_high_watermark() const {
-    return mailbox_.high_watermark();
-  }
-  /// Messages currently queued (instantaneous backlog).
-  size_t mailbox_depth() const { return mailbox_.size(); }
 
  private:
   void WorkerLoop();

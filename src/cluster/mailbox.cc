@@ -2,8 +2,6 @@
 
 #include "cluster/mailbox.h"
 
-#include <algorithm>
-
 namespace semtree {
 
 void Mailbox::Push(Message msg) {
@@ -11,7 +9,6 @@ void Mailbox::Push(Message msg) {
     MutexLock lock(mu_);
     if (closed_) return;
     queue_.push_back(std::move(msg));
-    high_watermark_ = std::max(high_watermark_, queue_.size());
   }
   cv_.NotifyOne();
 }
@@ -36,11 +33,6 @@ void Mailbox::Close() {
 size_t Mailbox::size() const {
   MutexLock lock(mu_);
   return queue_.size();
-}
-
-size_t Mailbox::high_watermark() const {
-  MutexLock lock(mu_);
-  return high_watermark_;
 }
 
 }  // namespace semtree

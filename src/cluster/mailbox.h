@@ -33,14 +33,10 @@ class Mailbox {
 
   size_t size() const;
 
-  /// Largest queue length observed (for stats).
-  size_t high_watermark() const;
-
  private:
   mutable Mutex mu_;
   CondVar cv_;  // Signals "message queued" or "closed" to Pop.
   std::deque<Message> queue_ GUARDED_BY(mu_);
-  size_t high_watermark_ GUARDED_BY(mu_) = 0;
   bool closed_ GUARDED_BY(mu_) = false;
 };
 

@@ -58,16 +58,16 @@ struct BulkBuildOptions {
 
   /// Leaf capacity: spans at or under this size become buckets.
   size_t bucket_size = 32;
-
-  /// Spans at or above this size fan their left child out to the pool;
-  /// smaller spans recurse inline (task overhead would dominate).
-  size_t parallel_cutoff = 4096;
-
-  /// Lloyd refinement rounds for kCentroid (after farthest-pair
-  /// seeding). Small values suffice: the plane only needs the rough
-  /// cluster direction, not converged centroids.
-  size_t lloyd_iterations = 3;
 };
+
+/// Spans at or above this size fan their left child out to the pool;
+/// smaller spans recurse inline (task overhead would dominate).
+constexpr size_t kParallelCutoff = 4096;
+
+/// Lloyd refinement rounds for kCentroid (after farthest-pair seeding).
+/// Small values suffice: the plane only needs the rough cluster
+/// direction, not converged centroids.
+constexpr size_t kLloydIterations = 3;
 
 /// Maps the build_threads knob to an actual worker count (>= 1).
 inline size_t ResolveBuildThreads(size_t requested) {
@@ -105,7 +105,7 @@ struct KdPlanNode {
 /// Centroid (2-means) split of rows idx[lo..hi): seeds two centroids
 /// deterministically (c1 = point farthest from the span mean, c2 =
 /// point farthest from c1; ties broken toward the earliest span
-/// position), runs `lloyd_iterations` rounds of Lloyd assignment
+/// position), runs kLloydIterations rounds of Lloyd assignment
 /// (squared-L2 via the batched kernels, ties to centroid 1, means
 /// accumulated in span order so floating-point sums are reproducible),
 /// then cuts along dim = argmax |c1[d] - c2[d]| at the midpoint.
@@ -115,8 +115,7 @@ struct KdPlanNode {
 /// median split.
 template <typename Index, typename RowFn>
 bool ChooseCentroidSplit(std::vector<Index>& idx, size_t lo, size_t hi,
-                         size_t dimensions, RowFn row,
-                         size_t lloyd_iterations, MedianSplit* out) {
+                         size_t dimensions, RowFn row, MedianSplit* out) {
   const size_t n = hi - lo;
   if (n < 2) return false;
   auto row_at = [&](size_t j) { return row(idx[lo + j]); };
@@ -168,7 +167,7 @@ bool ChooseCentroidSplit(std::vector<Index>& idx, size_t lo, size_t hi,
   // order, which phase 1 guarantees is the same serial or parallel.
   std::vector<double> d1(n), d2(n);
   std::vector<double> s1(dimensions), s2(dimensions);
-  for (size_t iter = 0; iter < lloyd_iterations; ++iter) {
+  for (size_t iter = 0; iter < kLloydIterations; ++iter) {
     BatchScan(Metric::kL2, c1.data(), dimensions, n, row_at,
               [&](size_t j, double d) { d1[j] = d; });
     BatchScan(Metric::kL2, c2.data(), dimensions, n, row_at,
@@ -232,8 +231,7 @@ bool ChooseSplitForPolicy(std::vector<Index>& idx, size_t lo, size_t hi,
                           const BulkBuildOptions& opts, MedianSplit* out) {
   if (hi - lo <= opts.bucket_size) return false;
   if (opts.policy == SplitPolicy::kCentroid &&
-      ChooseCentroidSplit(idx, lo, hi, dimensions, row,
-                          opts.lloyd_iterations, out)) {
+      ChooseCentroidSplit(idx, lo, hi, dimensions, row, out)) {
     return true;
   }
   return ChooseMedianSplit(idx, lo, hi, dimensions, row, out);
@@ -270,7 +268,7 @@ void FillKdPlanNode(KdPlanNode* node, std::vector<Index>* idx, size_t lo,
   KdPlanNode* left = node->left.get();
   KdPlanNode* right = node->right.get();
   const size_t boundary = split.boundary;
-  if (group != nullptr && hi - lo >= opts.parallel_cutoff) {
+  if (group != nullptr && hi - lo >= kParallelCutoff) {
     group->Run([left, idx, lo, boundary, dimensions, row, opts, group]() {
       FillKdPlanNode(left, idx, lo, boundary, dimensions, row, opts, group);
     });
@@ -291,7 +289,7 @@ std::unique_ptr<KdPlanNode> BuildKdPlan(std::vector<Index>& idx,
   if (idx.empty()) return nullptr;
   auto root = std::make_unique<KdPlanNode>();
   size_t threads = ResolveBuildThreads(opts.build_threads);
-  if (threads > 1 && idx.size() >= opts.parallel_cutoff) {
+  if (threads > 1 && idx.size() >= kParallelCutoff) {
     ThreadPool pool(threads);
     TaskGroup group(&pool);
     FillKdPlanNode(root.get(), &idx, 0, idx.size(), dimensions, row, opts,

@@ -24,6 +24,9 @@ struct QueryEngine::TaskOutput {
 
 namespace {
 
+// Result-cache shards, each behind its own lock.
+constexpr size_t kCacheShards = 8;
+
 size_t ClampThreads(size_t threads) { return threads < 1 ? 1 : threads; }
 
 void Accumulate(const SearchStats& from, SearchStats* into) {
@@ -53,7 +56,7 @@ QueryEngine::QueryEngine(SpatialIndex* index, QueryEngineOptions options)
   // of the backend, not of any one call.
   if (index->lock_free_reads()) unsynced_index_ = index;
   if (options_.cache_capacity > 0) {
-    cache_ = std::make_unique<ShardedResultCache>(options_.cache_shards,
+    cache_ = std::make_unique<ShardedResultCache>(kCacheShards,
                                                   options_.cache_capacity);
   }
 }
@@ -64,7 +67,7 @@ QueryEngine::QueryEngine(SemTree* tree, QueryEngineOptions options)
       dims_(tree->options().dimensions),
       pool_(ClampThreads(options.threads)) {
   if (options_.cache_capacity > 0) {
-    cache_ = std::make_unique<ShardedResultCache>(options_.cache_shards,
+    cache_ = std::make_unique<ShardedResultCache>(kCacheShards,
                                                   options_.cache_capacity);
   }
 }

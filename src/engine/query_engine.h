@@ -34,9 +34,6 @@ struct QueryEngineOptions {
   /// Worker threads executing batch queries.
   size_t threads = 4;
 
-  /// Result-cache shards (1 disables sharding, not caching).
-  size_t cache_shards = 8;
-
   /// Total cached results across shards; 0 disables the cache.
   size_t cache_capacity = 4096;
 

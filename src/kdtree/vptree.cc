@@ -32,8 +32,6 @@ struct VpPlanParams {
   std::vector<size_t>* objects;
   size_t bucket_size;
   uint64_t seed;
-  /// Spans at or above this fan their inside child out to the pool.
-  size_t parallel_cutoff = 4096;
 };
 
 // One span's split decision. The vantage pick is seeded from
@@ -93,7 +91,7 @@ void FillVpPlanNode(VpPlanNode* node, const VpPlanParams* p, size_t lo,
   node->outside = std::make_unique<VpPlanNode>();
   VpPlanNode* in_child = node->inside.get();
   VpPlanNode* out_child = node->outside.get();
-  if (group != nullptr && count >= p->parallel_cutoff) {
+  if (group != nullptr && count >= kParallelCutoff) {
     group->Run([in_child, p, lo, split, group]() {
       FillVpPlanNode(in_child, p, lo, split, group);
     });
@@ -125,7 +123,7 @@ Result<VpTree> VpTree::Build(size_t n, const MetricDistanceFn& distance,
   params.bucket_size = tree.options_.bucket_size;
   params.seed = options.seed;
   size_t threads = ResolveBuildThreads(options.build_threads);
-  if (threads > 1 && n >= params.parallel_cutoff) {
+  if (threads > 1 && n >= kParallelCutoff) {
     ThreadPool pool(threads);
     TaskGroup group(&pool);
     FillVpPlanNode(&root, &params, 0, n, &group);

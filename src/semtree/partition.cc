@@ -60,16 +60,6 @@ int32_t Partition::AdoptRoot() {
   return root;
 }
 
-void Partition::AbsorbBlock(int32_t leaf, const PointBlock& block) {
-  store_.Reserve(block.size());
-  std::vector<Slot>& bucket = nodes_[static_cast<size_t>(leaf)].bucket;
-  bucket.reserve(bucket.size() + block.size());
-  for (size_t i = 0; i < block.size(); ++i) {
-    bucket.push_back(store_.Append(block.Row(i), block.ids[i]));
-  }
-  AddPoints(block.size());
-}
-
 PointBlock Partition::ExtractLeafBlock(int32_t leaf) {
   PNode& n = nodes_[static_cast<size_t>(leaf)];
   PointBlock block(dimensions_);

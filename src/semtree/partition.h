@@ -121,6 +121,11 @@ class Partition {
     return nodes_[static_cast<size_t>(idx)];
   }
   size_t arena_size() const { return nodes_.size(); }
+  /// True when `idx` names a node of the arena that is not dead.
+  bool IsLive(int32_t idx) const {
+    return idx >= 0 && static_cast<size_t>(idx) < nodes_.size() &&
+           !nodes_[static_cast<size_t>(idx)].is_dead;
+  }
 
   /// Points currently stored in this partition's leaves.
   size_t points() const { return points_; }
@@ -164,10 +169,6 @@ class Partition {
   /// accounting is updated.
   void BuildBalancedLocal(int32_t root, const PointBlock& block,
                           const BulkBuildOptions& opts = {});
-
-  /// Copies the block's rows into this partition's arena and appends
-  /// their slots to `leaf`'s bucket. Point accounting is updated.
-  void AbsorbBlock(int32_t leaf, const PointBlock& block);
 
   /// Gathers `leaf`'s bucket into one contiguous migration payload,
   /// releasing the arena rows and emptying the bucket. Point accounting

@@ -29,7 +29,6 @@ namespace protocol {
 constexpr uint32_t kInsertMsg = 1;
 constexpr uint32_t kSearchMsg = 2;
 constexpr uint32_t kBuildPartitionMsg = 4;
-constexpr uint32_t kAdoptLeafMsg = 5;
 constexpr uint32_t kStatsMsg = 6;
 constexpr uint32_t kRemoveMsg = 7;
 constexpr uint32_t kBulkBuildMsg = 8;
@@ -47,10 +46,6 @@ struct InsertRequest {
 struct InsertResponse {
   bool ok = false;
   bool saturated = false;
-  // The addressed node vanished mid-rebalance (dead or out of range):
-  // nothing was stored; the client retries from the root against the
-  // settled routing.
-  bool stale = false;
   int32_t partition = -1;
   std::string error;
 };
@@ -60,7 +55,7 @@ struct RemoveRequest {
 };
 struct RemoveResponse {
   bool found = false;
-  bool stale = false;  // Same retry contract as InsertResponse::stale.
+  std::string error;
 };
 
 // Budget accounting that travels inside a search work item: the caps
@@ -152,14 +147,6 @@ struct BuildPartitionResponse {
   size_t leaves_moved = 0;
   std::vector<int32_t> new_partitions;
 };
-// Leaf migration payload: one contiguous coordinate block per Fig. 2
-// build-partition, not N small vectors.
-struct AdoptLeafRequest {
-  PointBlock block;
-};
-struct AdoptLeafResponse {
-  int32_t root_node = 0;
-};
 struct StatsRequest {
   // Multiplied into the partition's load counters *after* they are
   // reported, so the rebalancer's trigger tracks a recent window
@@ -172,8 +159,9 @@ struct StatsResponse {
   std::vector<SubtreeInfo> subtrees;  // Only when include_subtrees.
 };
 // Builds a balanced subtree over the block under a fresh root of the
-// target partition: one region of a bulk load, or one half of a split
-// (DESIGN.md §12). The tree total is the client's to account.
+// target partition: one region of a bulk load, one leaf moved by
+// build-partition, or one half of a split (DESIGN.md §12). The tree
+// total is the caller's to account.
 struct BulkBuildRequest {
   PointBlock block;
 };

@@ -24,7 +24,7 @@
 // Deadlock-freedom: rebalance RPCs are only ever issued from the
 // coordinator thread, never from inside a handler, so they add no
 // nested-call edges. (No search handler waits either; the one handler
-// that does is build-partition, whose AdoptLeaf callees call nobody.)
+// that does is build-partition, whose bulk-build callees call nobody.)
 //
 // Seat order: the halves always land on fresh seats, which take the
 // highest ids, so every routing edge keeps pointing from a lower to a
@@ -45,6 +45,11 @@ namespace semtree {
 using namespace protocol;  // NOLINT(build/namespaces)
 
 namespace {
+
+// Per-tick multiplicative decay applied to every partition's load
+// counters after they are read, so triggers track the recent window
+// instead of all-time totals.
+constexpr double kLoadDecay = 0.5;
 
 // One partition's scalar "heat": distance computations dominate the
 // cost of a leaf scan, handler activations stand in for routing and
@@ -130,11 +135,7 @@ void SemTree::HandleSplit(Partition* p, const Message& msg) {
     cluster_->Respond(msg, MakePayload<SplitResponse>(std::move(resp)),
                       64);
   };
-  if (req.root < 0 ||
-      static_cast<size_t>(req.root) >= p->arena_size() ||
-      p->node(req.root).is_dead) {
-    return fail("split root vanished");
-  }
+  if (!p->IsLive(req.root)) return fail("split root vanished");
   // Read-only: the subtree stays in place, so readers keep finding its
   // points, until the install swaps in a routing node over the halves
   // built from this copy.
@@ -184,11 +185,7 @@ void SemTree::HandleInstallSplit(Partition* p, const Message& msg) {
     cluster_->Respond(
         msg, MakePayload<InstallSplitResponse>(std::move(resp)), 64);
   };
-  if (req.node < 0 ||
-      static_cast<size_t>(req.node) >= p->arena_size() ||
-      p->node(req.node).is_dead) {
-    return fail("install-split node vanished");
-  }
+  if (!p->IsLive(req.node)) return fail("install-split node vanished");
   // Drain the subtree: its points are the copy the halves were built
   // from, give or take the writes that landed since.
   std::vector<Partition::Slot> slots;
@@ -381,8 +378,7 @@ Status SemTree::TrySplit(const LoadSnapshot& snap) {
 Status SemTree::RebalanceTick() {
   MutexLock lock(rebalance_mu_);
   ++rebalance_counters_.ticks;
-  SEMTREE_ASSIGN_OR_RETURN(
-      LoadSnapshot snap, GatherLoad(options_.rebalance.load_decay));
+  SEMTREE_ASSIGN_OR_RETURN(LoadSnapshot snap, GatherLoad(kLoadDecay));
   if (snap.total_score < options_.rebalance.min_total_load) {
     return Status::OK();
   }

@@ -28,11 +28,6 @@ struct RebalanceOptions {
   /// Background tick period (SemTree::StartRebalancer).
   std::chrono::milliseconds interval{20};
 
-  /// Per-tick multiplicative decay applied to every partition's load
-  /// counters after they are read, so triggers track the recent window
-  /// instead of all-time totals.
-  double load_decay = 0.5;
-
   /// A partition splits when its load score is at least this multiple
   /// of the mean score.
   double split_load_factor = 2.0;

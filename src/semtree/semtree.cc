@@ -58,9 +58,7 @@ void SearchStep(Partition* p, SearchItem* item) {
   // §12) after the frame was captured; its points now sit behind a
   // routing node the traversal has passed, so the frame is dropped, as
   // is an out-of-range index.
-  if (frame.node < 0 ||
-      static_cast<size_t>(frame.node) >= p->arena_size() ||
-      p->node(frame.node).is_dead) {
+  if (!p->IsLive(frame.node)) {
     stack.pop_back();
     return;
   }
@@ -289,9 +287,6 @@ void SemTree::RegisterHandlers(Partition* part, ComputeNode* node) {
                         [this, part](const Message& m) {
                           HandleBuildPartition(part, m);
                         });
-  node->RegisterHandler(kAdoptLeafMsg, [this, part](const Message& m) {
-    HandleAdoptLeaf(part, m);
-  });
   node->RegisterHandler(kStatsMsg, [this, part](const Message& m) {
     HandleStats(part, m);
   });
@@ -322,12 +317,12 @@ void SemTree::HandleInsert(Partition* p, const Message& msg) {
   p->RecordLoad(1, 0);
   int32_t nd = req.start_node;
   for (;;) {
-    if (nd < 0 || static_cast<size_t>(nd) >= p->arena_size() ||
-        p->node(nd).is_dead) {
-      // The addressed node vanished mid-rebalance: nothing stored;
-      // the client retries from the root against the settled routing.
+    if (!p->IsLive(nd)) {
+      // Requests only address partition roots (and walk local links),
+      // and neither a split nor build-partition kills a root.
       InsertResponse resp;
-      resp.stale = true;
+      resp.error = StringPrintf("insert reached dead node %d of partition %d",
+                                nd, p->id());
       cluster_->Respond(msg, MakePayload<InsertResponse>(std::move(resp)),
                         64);
       return;
@@ -374,34 +369,26 @@ Status SemTree::Insert(const std::vector<double>& coords, PointId id) {
                      coords.size(), options_.dimensions));
   }
   SEMTREE_RETURN_NOT_OK(CheckFiniteCoords(coords));
-  // A stale response means the addressed node vanished mid-rebalance;
-  // retrying from the root sees the settled routing. The bound only
-  // trips if rebalance steps keep racing this one client.
-  for (int attempt = 0; attempt < 16; ++attempt) {
-    InsertRequest req;
-    req.start_node = 0;
-    req.point = KdPoint{coords, id};
+  InsertRequest req;
+  req.start_node = 0;
+  req.point = KdPoint{coords, id};
+  SEMTREE_ASSIGN_OR_RETURN(
+      Payload payload,
+      cluster_->CallAndWait(0, kInsertMsg,
+                            MakePayload<InsertRequest>(std::move(req)),
+                            PointBytes(options_.dimensions)));
+  auto& resp = PayloadAs<InsertResponse>(payload);
+  if (!resp.ok) return Status::Internal(resp.error);
+  if (resp.saturated && PartitionCount() < options_.max_partitions) {
     SEMTREE_ASSIGN_OR_RETURN(
-        Payload payload,
-        cluster_->CallAndWait(0, kInsertMsg,
-                              MakePayload<InsertRequest>(std::move(req)),
-                              PointBytes(options_.dimensions)));
-    auto& resp = PayloadAs<InsertResponse>(payload);
-    if (resp.stale) continue;
-    if (!resp.ok) return Status::Internal(resp.error);
-    if (resp.saturated && PartitionCount() < options_.max_partitions) {
-      SEMTREE_ASSIGN_OR_RETURN(
-          Payload build,
-          cluster_->CallAndWait(
-              resp.partition, kBuildPartitionMsg,
-              MakePayload<BuildPartitionRequest>(BuildPartitionRequest{}),
-              32));
-      (void)build;
-    }
-    return Status::OK();
+        Payload build,
+        cluster_->CallAndWait(
+            resp.partition, kBuildPartitionMsg,
+            MakePayload<BuildPartitionRequest>(BuildPartitionRequest{}),
+            32));
+    (void)build;
   }
-  return Status::Unavailable(
-      "insert kept hitting partitions mid-rebalance");
+  return Status::OK();
 }
 
 Status SemTree::BulkInsert(const PointBlock& points,
@@ -451,11 +438,12 @@ void SemTree::HandleRemove(Partition* p, const Message& msg) {
   p->RecordLoad(1, 0);
   int32_t nd = req.start_node;
   for (;;) {
-    if (nd < 0 || static_cast<size_t>(nd) >= p->arena_size() ||
-        p->node(nd).is_dead) {
+    if (!p->IsLive(nd)) {  // As in HandleInsert.
       RemoveResponse resp;
-      resp.stale = true;
-      cluster_->Respond(msg, MakePayload<RemoveResponse>(resp), 32);
+      resp.error = StringPrintf("remove reached dead node %d of partition %d",
+                                nd, p->id());
+      cluster_->Respond(msg, MakePayload<RemoveResponse>(std::move(resp)),
+                        32);
       return;
     }
     Partition::PNode& n = p->node(nd);
@@ -497,26 +485,22 @@ Status SemTree::Remove(const std::vector<double>& coords, PointId id) {
         StringPrintf("point has %zu dimensions, tree has %zu",
                      coords.size(), options_.dimensions));
   }
-  for (int attempt = 0; attempt < 16; ++attempt) {
-    RemoveRequest req;
-    req.start_node = 0;
-    req.point = KdPoint{coords, id};
-    SEMTREE_ASSIGN_OR_RETURN(
-        Payload payload,
-        cluster_->CallAndWait(0, kRemoveMsg,
-                              MakePayload<RemoveRequest>(std::move(req)),
-                              PointBytes(options_.dimensions)));
-    auto& resp = PayloadAs<RemoveResponse>(payload);
-    if (resp.stale) continue;  // Raced a rebalance step; start over.
-    if (!resp.found) {
-      return Status::NotFound(StringPrintf(
-          "point %llu not stored at the given coordinates",
-          (unsigned long long)id));
-    }
-    return Status::OK();
+  RemoveRequest req;
+  req.start_node = 0;
+  req.point = KdPoint{coords, id};
+  SEMTREE_ASSIGN_OR_RETURN(
+      Payload payload,
+      cluster_->CallAndWait(0, kRemoveMsg,
+                            MakePayload<RemoveRequest>(std::move(req)),
+                            PointBytes(options_.dimensions)));
+  auto& resp = PayloadAs<RemoveResponse>(payload);
+  if (!resp.error.empty()) return Status::Internal(resp.error);
+  if (!resp.found) {
+    return Status::NotFound(StringPrintf(
+        "point %llu not stored at the given coordinates",
+        (unsigned long long)id));
   }
-  return Status::Unavailable(
-      "remove kept hitting partitions mid-rebalance");
+  return Status::OK();
 }
 
 // --------------------------------------------------------------------
@@ -551,20 +535,21 @@ void SemTree::HandleBuildPartition(Partition* p, const Message& msg) {
       for (size_t i = 0; i < movable.size(); ++i) {
         const Partition::LeafLocation& loc = movable[i];
         int32_t q = targets[i * targets.size() / movable.size()];
-        AdoptLeafRequest adopt;
         // One contiguous coordinate block per migrated leaf (Fig. 2).
-        adopt.block = p->ExtractLeafBlock(loc.leaf);
-        size_t moved = adopt.block.size();
-        size_t bytes = adopt.block.ApproxBytes();
-        auto adopted = cluster_->CallAndWait(
-            q, kAdoptLeafMsg,
-            MakePayload<AdoptLeafRequest>(std::move(adopt)), bytes,
-            p->id());
-        if (!adopted.ok()) break;
-        auto& aresp = PayloadAs<AdoptLeafResponse>(*adopted);
+        // It holds at most bucket_size points or only duplicates, so the
+        // target's balanced build makes it one leaf, rows in order.
+        BulkBuildRequest leaf;
+        leaf.block = p->ExtractLeafBlock(loc.leaf);
+        size_t moved = leaf.block.size();
+        size_t bytes = leaf.block.ApproxBytes();
+        auto built = cluster_->CallAndWait(
+            q, kBulkBuildMsg, MakePayload<BulkBuildRequest>(std::move(leaf)),
+            bytes, p->id());
+        if (!built.ok()) break;
+        auto& bresp = PayloadAs<BulkBuildResponse>(*built);
         // Install the direct link between the partitions (Fig. 2).
         Partition::PNode& parent = p->node(loc.parent);
-        ChildRef link{q, aresp.root_node};
+        ChildRef link{q, bresp.root_node};
         (loc.is_left ? parent.left : parent.right) = link;
         p->node(loc.leaf).is_dead = true;
         p->RemovePoints(moved);
@@ -575,16 +560,6 @@ void SemTree::HandleBuildPartition(Partition* p, const Message& msg) {
   }
   cluster_->Respond(
       msg, MakePayload<BuildPartitionResponse>(std::move(resp)), 64);
-}
-
-void SemTree::HandleAdoptLeaf(Partition* p, const Message& msg) {
-  auto& req = PayloadAs<AdoptLeafRequest>(msg.payload);
-  int32_t root = p->AdoptRoot();
-  p->AbsorbBlock(root, req.block);
-  p->SplitLeafIfNeeded(root);
-  AdoptLeafResponse resp;
-  resp.root_node = root;
-  cluster_->Respond(msg, MakePayload<AdoptLeafResponse>(resp), 32);
 }
 
 // --------------------------------------------------------------------

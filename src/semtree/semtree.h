@@ -287,7 +287,6 @@ class SemTree {
   void HandleRemove(Partition* p, const Message& msg);
   void HandleSearch(Partition* p, const Message& msg);
   void HandleBuildPartition(Partition* p, const Message& msg);
-  void HandleAdoptLeaf(Partition* p, const Message& msg);
   void HandleStats(Partition* p, const Message& msg);
   void HandleBulkBuild(Partition* p, const Message& msg);
   void HandleInstallTopology(Partition* p, const Message& msg);

@@ -59,15 +59,6 @@ TEST(MailboxTest, PopBlocksUntilPush) {
   EXPECT_TRUE(got.load());
 }
 
-TEST(MailboxTest, HighWatermarkTracksPeak) {
-  Mailbox box;
-  for (int i = 0; i < 5; ++i) box.Push(Message{});
-  Message out;
-  box.Pop(&out);
-  box.Pop(&out);
-  EXPECT_EQ(box.high_watermark(), 5u);
-}
-
 // ---------------------------------------------------------------------
 // RPC
 
@@ -113,7 +104,8 @@ TEST(ClusterTest, ManyConcurrentCalls) {
 TEST(ClusterTest, NestedCallsAcrossNodes) {
   // Node A relays to node B and augments the answer: exercises blocking
   // a worker on a downstream RPC. In SemTree only build-partition does
-  // this, calling AdoptLeaf on fresh partitions that call nobody.
+  // this, sending each moved leaf's bulk build to fresh partitions that
+  // call nobody.
   Cluster cluster;
   ComputeNode* b = cluster.AddNode();
   b->RegisterHandler(kAddOne, [&cluster](const Message& m) {

@@ -126,6 +126,62 @@ TEST(SemTreeTest, BuildPartitionSpreadsData) {
   EXPECT_GE(edges, 1u);    // Cross-partition links exist.
 }
 
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Pins the layout build-partition (Fig. 2) leaves behind, and what the
+// inserts cost on the interconnect: one client inserts a fixed corpus
+// until partition 0 saturates and its leaves move to fresh partitions.
+// Every 37th point repeats one coordinate, so an overflowing
+// all-duplicates leaf moves too. Each moved leaf holds at most
+// bucket_size points or only duplicates, so its new partition hosts it
+// as one leaf with its rows in order, whatever the split policy: both
+// policies must give the same bytes.
+TEST(SemTreeTest, BuildPartitionLayoutIsGolden) {
+  const size_t kDims = 3;
+  auto points = RandomPoints(3000, kDims, 23);
+  for (size_t i = 0; i < points.size(); i += 37) {
+    points[i].coords = {0.25, -0.5, 0.75};
+  }
+  // Captured when moved leaves had their own adopt-leaf message.
+  const std::vector<size_t> kGoldenPoints = {0, 634, 639, 590, 551, 586};
+  const uint64_t kGoldenHash = 4618166591431932052ull;
+  const std::vector<uint64_t> kGoldenNetwork = {8744, 433440, 3072, 2600};
+  for (SplitPolicy policy :
+       {SplitPolicy::kMedian, SplitPolicy::kCentroid}) {
+    SCOPED_TRACE(SplitPolicyName(policy));
+    SemTreeOptions opts;
+    opts.dimensions = kDims;
+    opts.bucket_size = 8;
+    opts.max_partitions = 6;
+    opts.partition_capacity = 400;
+    opts.split_policy = policy;
+    auto tree = SemTree::Create(opts);
+    ASSERT_TRUE(tree.ok());
+    ASSERT_TRUE((*tree)->BulkInsert(points).ok());
+    ClusterStats net = (*tree)->NetworkStats();
+    EXPECT_EQ((std::vector<uint64_t>{net.messages, net.bytes, net.calls,
+                                     net.forwards}),
+              kGoldenNetwork);
+    EXPECT_EQ((*tree)->PartitionCount(), kGoldenPoints.size());
+    persist::ByteWriter w;
+    ASSERT_TRUE((*tree)->SaveTo(&w).ok());
+    EXPECT_EQ(Fnv1a(w.bytes()), kGoldenHash);
+    std::vector<size_t> per_partition;
+    for (const PartitionStats& s : (*tree)->AllPartitionStats()) {
+      per_partition.push_back(s.points);
+    }
+    EXPECT_EQ(per_partition, kGoldenPoints);
+    EXPECT_TRUE((*tree)->CheckInvariants().ok());
+  }
+}
+
 TEST(SemTreeTest, DistributedMatchesLinearScan) {
   const size_t kDims = 4;
   SemTreeOptions opts;
