@@ -158,19 +158,40 @@ class Frontier {
   std::vector<FrontierEntry> heap_;
 };
 
+/// The one top-k offer rule, shared by every k-NN loop: the walkers'
+/// KnnAccumulator, SemTree's SearchStep on an item's result set Rs and
+/// VersionedIndex's delta merge. `heap` is a max-heap under
+/// NeighborDistanceThenId holding at most k hits. Once it holds k, a
+/// hit that is not strictly better than the top by (distance, id) is
+/// rejected before the heap is touched. The top-k set is unique under
+/// that order and a rejected tie has the kept hit's value, so the
+/// result, the top (tau) and every pruning decision are those of
+/// pushing the hit and popping the worst (DESIGN.md §6).
+inline void OfferTopK(std::vector<Neighbor>* heap, size_t k, Neighbor hit) {
+  if (heap->size() < k) {
+    heap->push_back(hit);
+    std::push_heap(heap->begin(), heap->end(), NeighborDistanceThenId);
+    return;
+  }
+  if (heap->empty() || !NeighborDistanceThenId(hit, heap->front())) return;
+  std::pop_heap(heap->begin(), heap->end(), NeighborDistanceThenId);
+  heap->back() = hit;
+  std::push_heap(heap->begin(), heap->end(), NeighborDistanceThenId);
+}
+
 /// Bounded k-NN accumulator: a max-heap of the best k (distance, id)
 /// hits seen so far, exposing the current pruning threshold tau.
 class KnnAccumulator {
  public:
-  explicit KnnAccumulator(size_t k) : k_(k) { heap_.reserve(k + 1); }
+  /// `candidates` bounds how many points the search can offer (the
+  /// index size): the heap never holds more than min(k, candidates),
+  /// so that is all it reserves, and a huge k costs no memory.
+  KnnAccumulator(size_t k, size_t candidates) : k_(k) {
+    heap_.reserve(std::min(k, candidates));
+  }
 
   void Offer(PointId id, double distance) {
-    heap_.push_back(Neighbor{id, distance});
-    std::push_heap(heap_.begin(), heap_.end(), NeighborDistanceThenId);
-    if (heap_.size() > k_) {
-      std::pop_heap(heap_.begin(), heap_.end(), NeighborDistanceThenId);
-      heap_.pop_back();
-    }
+    OfferTopK(&heap_, k_, Neighbor{id, distance});
   }
 
   /// Current k-th distance; +inf while the result set is not full

@@ -88,14 +88,17 @@ double CosineChordDistance(const double* a, double a_norm2,
 
 /// One-vs-many over a contiguous row-major block: distances from
 /// `query` to rows[r*dim .. r*dim+dim) for r in [0, count), written to
-/// out[0..count). This is the bulk-loaded PointStore fast path (rows
-/// adjacent in one chunk).
+/// out[0..count). Leaf scans use the gathered form below; this one
+/// serves callers that own a flat block.
 void BatchDistance(Metric metric, const double* query, size_t dim,
                    const double* rows, size_t count, double* out);
 
-/// One-vs-many over gathered rows: `rows[r]` points at row r (leaf
-/// buckets hold arbitrary store slots, so their rows are not generally
-/// adjacent). Same unrolling and bit-exactness as the contiguous form.
+/// One-vs-many over gathered rows: `rows[r]` points at row r. Every
+/// leaf scan uses this form: a bulk-built KD-tree leaf's rows are
+/// adjacent (DESIGN.md §8), but inserted points land in append or
+/// free-list order and SemTree partitions keep input order, so a
+/// bucket's rows are not adjacent in general. Same unrolling and
+/// bit-exactness as the contiguous form.
 void BatchDistance(Metric metric, const double* query, size_t dim,
                    const double* const* rows, size_t count, double* out);
 

@@ -12,7 +12,9 @@
 //    lifetime — chunks are never moved or freed before destruction.
 //  * Rows are contiguous and consecutive slots within a chunk are
 //    adjacent in memory (chunks hold `chunk_capacity` rows back to
-//    back), so bulk-loaded stores scan like one flat array.
+//    back). Slots follow append order, except where a bulk build has
+//    reordered them with Permute so that each of its leaves is one
+//    run of consecutive slots.
 //  * Released slots are recycled by later appends (free list), so a
 //    long-lived store with churn does not grow without bound.
 
@@ -121,6 +123,37 @@ class PointStore {
 
   PointView View(Slot slot) const {
     return PointView{CoordsAt(slot), dim_, ids_[slot]};
+  }
+
+  /// Rearranges the rows so that slot i holds what slot `order[i]`
+  /// held, for every i. A bulk build calls this once its plan is
+  /// final, so that each leaf's rows form one run of consecutive slots
+  /// (DESIGN.md §8). `order` must be a permutation of
+  /// [0, slot_count()) and the store must have no free slots. Follows
+  /// each cycle in place with one temporary row and a visited bitmap.
+  void Permute(const std::vector<Slot>& order) {
+    assert(order.size() == slots_ && free_.empty());
+    const size_t bytes = dim_ * sizeof(double);
+    std::vector<double> row(dim_);
+    std::vector<bool> done(slots_, false);
+    for (size_t i = 0; i < slots_; ++i) {
+      const Slot start = static_cast<Slot>(i);
+      if (done[start] || order[start] == start) continue;
+      // Each slot of the cycle pulls its row from order[slot]; the
+      // last one pulls the saved row of `start`.
+      std::memcpy(row.data(), CoordsAt(start), bytes);
+      const PointId start_id = ids_[start];
+      Slot dst = start;
+      for (Slot src = order[dst]; src != start; src = order[dst]) {
+        std::memcpy(MutableCoordsAt(dst), CoordsAt(src), bytes);
+        ids_[dst] = ids_[src];
+        done[dst] = true;
+        dst = src;
+      }
+      std::memcpy(MutableCoordsAt(dst), row.data(), bytes);
+      ids_[dst] = start_id;
+      done[dst] = true;
+    }
   }
 
   /// Serialization access (persist/snapshot.h): the id of every

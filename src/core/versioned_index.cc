@@ -13,6 +13,7 @@
 #include <limits>
 #include <utility>
 
+#include "core/best_first.h"
 #include "core/kernels.h"
 
 namespace semtree {
@@ -343,31 +344,16 @@ std::vector<Neighbor> VersionedIndex::KnnSearch(
   }
 
   // Delta scan: the un-killed adds prefix, batched, under whatever
-  // distance budget the base left over. `hits` is kept bounded at k
-  // as a max-heap — appending every delta point and sorting the union
-  // would make per-query work (allocation and sort, not distances)
-  // grow with the delta, which is exactly the read-side cost this
-  // index exists to avoid.
-  if (hits.size() > k) hits.resize(k);  // Over-fetched fallback pass.
-  std::make_heap(hits.begin(), hits.end(), NeighborDistanceThenId);
+  // distance budget the base left over, offered to the same bounded
+  // top-k heap the base hits seed. Appending every delta point and
+  // sorting the union would make per-query work (allocation and sort,
+  // not distances) grow with the delta, which is exactly the
+  // read-side cost this index exists to avoid.
+  KnnAccumulator acc(k, hits.size() + v->add_count);
+  for (const Neighbor& n : hits) acc.Offer(n.id, n.distance);
   ScanDelta(*v, query, budget, s,
-            [&](PointId id, double dist) {
-              const Neighbor n{id, dist};
-              if (hits.size() < k) {
-                hits.push_back(n);
-                std::push_heap(hits.begin(), hits.end(),
-                               NeighborDistanceThenId);
-              } else if (NeighborDistanceThenId(n, hits.front())) {
-                std::pop_heap(hits.begin(), hits.end(),
-                              NeighborDistanceThenId);
-                hits.back() = n;
-                std::push_heap(hits.begin(), hits.end(),
-                               NeighborDistanceThenId);
-              }
-            });
-
-  std::sort_heap(hits.begin(), hits.end(), NeighborDistanceThenId);
-  return hits;
+            [&](PointId id, double dist) { acc.Offer(id, dist); });
+  return acc.Take();
 }
 
 std::vector<Neighbor> VersionedIndex::RangeSearch(

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/string_util.h"
 #include "core/best_first.h"
@@ -135,6 +136,9 @@ Result<KdTree> KdTree::BulkLoadBalanced(size_t dimensions,
 Status KdTree::BulkLoad(const std::vector<KdPoint>& points) {
   if (points.empty()) return Status::OK();
   if (size() != 0) return SpatialIndex::BulkLoad(points);  // Insert loop.
+  // Drop the slots earlier removals freed: the plan build permutes a
+  // store without free slots.
+  store_ = PointStore(dimensions_);
   SEMTREE_ASSIGN_OR_RETURN(std::vector<Slot> slots, StoreAll(points));
   BuildFromPlan(slots);
   BumpEpoch();
@@ -146,6 +150,12 @@ Status KdTree::BulkLoad(const std::vector<KdPoint>& points) {
 // them — this node, the whole left subtree, the whole right subtree —
 // so plan-built trees (serial or parallel, either policy) snapshot
 // byte-identically to a serial recursive build.
+//
+// Before emission the arena is permuted into plan order: slot i takes
+// the row at plan position i. The plan's leaf spans tile [0, n) in
+// pre-order, each in canonical (ascending input) order, so every leaf
+// becomes one run of consecutive slots and a leaf scan reads adjacent
+// rows instead of gathering them from across the arena.
 void KdTree::BuildFromPlan(std::vector<Slot>& slots) {
   const PointStore& store = store_;
   BulkBuildOptions opts;
@@ -155,6 +165,8 @@ void KdTree::BuildFromPlan(std::vector<Slot>& slots) {
   std::unique_ptr<KdPlanNode> plan = BuildKdPlan(
       slots, dimensions_,
       [&store](Slot s) { return store.CoordsAt(s); }, opts);
+  store_.Permute(slots);
+  std::iota(slots.begin(), slots.end(), Slot{0});
   nodes_.clear();
   if (plan == nullptr) {
     NewLeaf();  // Empty tree: a single empty root leaf.
@@ -271,7 +283,7 @@ std::vector<Neighbor> KdTree::KnnSearch(const std::vector<double>& query,
   SearchStats local;
   SearchStats* st = stats ? stats : &local;
   BudgetGauge gauge(budget, st);
-  KnnAccumulator acc(k);
+  KnnAccumulator acc(k, size());
   double scale = budget.pruning_scale();
   const Metric m = metric();
   BestFirstSearch(
@@ -451,6 +463,22 @@ size_t KdTree::Depth() const {
     }
   }
   return max_depth;
+}
+
+std::vector<std::vector<KdTree::Slot>> KdTree::LeafBuckets() const {
+  std::vector<std::vector<Slot>> out;
+  std::vector<int32_t> stack = {0};
+  while (!stack.empty()) {
+    const Node& n = nodes_[size_t(stack.back())];
+    stack.pop_back();
+    if (n.is_leaf) {
+      out.push_back(n.bucket);
+    } else {
+      stack.push_back(n.right);  // Left subtree first.
+      stack.push_back(n.left);
+    }
+  }
+  return out;
 }
 
 Status KdTree::CheckInvariants() const {

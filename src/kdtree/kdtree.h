@@ -7,8 +7,11 @@
 // instantiated and the points move down (Fig. 1).
 //
 // Coordinates live in a flat row-major PointStore arena; leaf buckets
-// hold 32-bit slot indices into it, so bucket scans stream contiguous
-// rows instead of chasing per-point heap vectors.
+// hold 32-bit slot indices into it, so a bucket scan reads one
+// contiguous row per point instead of chasing per-point heap vectors.
+// The plan-based bulk builds also permute the arena so that each leaf's
+// rows form one run of consecutive slots (DESIGN.md §8); points
+// inserted later land in append or free-list order.
 //
 // Besides dynamic insertion, two bulk builders exist for the paper's
 // efficiency experiments: a balanced median build and a "totally
@@ -144,6 +147,10 @@ class KdTree : public SpatialIndex {
   /// Longest root-to-leaf path (0 for a single leaf).
   size_t Depth() const;
 
+  /// Every leaf's bucket of store slots, leaves in pre-order (left
+  /// subtree first): the arena layout a bulk build produces.
+  std::vector<std::vector<PointStore::Slot>> LeafBuckets() const;
+
   /// Verifies structural invariants: every stored point lies in the
   /// region its ancestors' splits induce; size bookkeeping matches.
   Status CheckInvariants() const;
@@ -176,6 +183,8 @@ class KdTree : public SpatialIndex {
   /// Replaces the current (empty) node array with the balanced tree
   /// described by the phase-1 plan over `slots`, allocating nodes in
   /// the canonical serial order: node, left subtree, right subtree.
+  /// `slots` must be every slot of a store without free slots; the
+  /// store is permuted into leaf order.
   void BuildFromPlan(std::vector<Slot>& slots);
   /// Appends `points` into the arena, returning their slots; fails on a
   /// dimensionality mismatch.

@@ -211,7 +211,7 @@ std::vector<Neighbor> MTree::KnnSearch(const QueryDistanceFn& dq,
   SearchStats local;
   SearchStats* st = stats ? stats : &local;
   BudgetGauge gauge(budget, st);
-  KnnAccumulator acc(k);
+  KnnAccumulator acc(k, size_);
   double scale = budget.pruning_scale();
   double slack = options_.prune_slack;
   BestFirstSearch(

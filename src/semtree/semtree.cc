@@ -9,6 +9,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "core/best_first.h"
 #include "core/bulk_build.h"
 #include "core/distance.h"
 #include "core/kernels.h"
@@ -79,14 +80,8 @@ void SearchStep(Partition* p, SearchItem* item) {
     if (item->type == QueryType::kKnn) {
       BatchScan(Metric::kL2, item->query.data(), store.dimensions(),
                 granted, coords, [&](size_t j, double d) {
-                  rs.push_back(Neighbor{store.IdAt(n.bucket[j]), d});
-                  std::push_heap(rs.begin(), rs.end(),
-                                 NeighborDistanceThenId);
-                  if (rs.size() > item->k) {
-                    std::pop_heap(rs.begin(), rs.end(),
-                                  NeighborDistanceThenId);
-                    rs.pop_back();
-                  }
+                  OfferTopK(&rs, item->k,
+                            Neighbor{store.IdAt(n.bucket[j]), d});
                 });
     } else {
       BatchScan(Metric::kL2, item->query.data(), store.dimensions(),

@@ -4,7 +4,8 @@
 // nth_element median split against its sort-based golden reference,
 // the byte-identity of parallel and serial builds across all backends,
 // the determinism of the centroid split across thread counts, the
-// degenerate corpora, and the SemTree partition build.
+// degenerate corpora, the leaf-ordered KD-tree arena, and the SemTree
+// partition build.
 
 #include <gtest/gtest.h>
 
@@ -232,6 +233,119 @@ TEST(CentroidSplitTest, ExactAgainstLinearScan) {
       EXPECT_EQ(truth[i].distance, got[i].distance) << "query " << q;
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Leaf-ordered arena: a plan-built KD-tree permutes its store so that
+// the leaves, in pre-order, hold consecutive slot runs tiling [0, n),
+// each in canonical (ascending input) order. Inputs carry id = input
+// position.
+
+void ExpectLeafOrdered(const KdTree& tree,
+                       const std::vector<KdPoint>& points) {
+  const PointStore& store = tree.store();
+  ASSERT_EQ(store.slot_count(), points.size());
+  std::vector<bool> seen(points.size(), false);
+  size_t next = 0;
+  for (const std::vector<PointStore::Slot>& bucket : tree.LeafBuckets()) {
+    for (size_t j = 0; j < bucket.size(); ++j) {
+      ASSERT_EQ(bucket[j], next) << "leaf runs must tile [0, n)";
+      ++next;
+      const PointId id = store.IdAt(bucket[j]);
+      ASSERT_LT(id, points.size());
+      EXPECT_FALSE(seen[id]) << "point " << id << " stored twice";
+      seen[id] = true;
+      if (j > 0) {
+        EXPECT_LT(store.IdAt(bucket[j - 1]), id);
+      }
+      const std::vector<double>& want = points[id].coords;
+      EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                             store.CoordsAt(bucket[j])))
+          << "point " << id;
+    }
+  }
+  EXPECT_EQ(next, points.size());
+}
+
+// Exact k-NN and range answers match the linear scan.
+void ExpectAnswersLikeScan(const KdTree& tree, const LinearScanIndex& scan,
+                           const std::vector<KdPoint>& points,
+                           uint64_t seed) {
+  ASSERT_EQ(tree.size(), scan.size());
+  Rng rng(seed);
+  for (int q = 0; q < 10; ++q) {
+    std::vector<double> query = points[rng.Uniform(points.size())].coords;
+    for (double& v : query) v += rng.Gaussian();
+    EXPECT_EQ(tree.KnnSearch(query, 10), scan.KnnSearch(query, 10))
+        << "query " << q;
+    EXPECT_EQ(tree.RangeSearch(query, 6.0), scan.RangeSearch(query, 6.0))
+        << "query " << q;
+  }
+}
+
+TEST(LeafOrderedArenaTest, BulkBuildsStoreLeavesAsSlotRuns) {
+  const size_t dims = 4;
+  // 5000 points cross the parallel cutoff (4096).
+  const auto points = ClusteredPoints(5000, dims, 8, 61);
+  for (SplitPolicy policy :
+       {SplitPolicy::kMedian, SplitPolicy::kCentroid}) {
+    for (size_t threads : {size_t(1), size_t(4)}) {
+      SCOPED_TRACE(std::string(SplitPolicyName(policy)) +
+                   " threads=" + std::to_string(threads));
+      KdTreeOptions opts;
+      opts.split_policy = policy;
+      opts.build_threads = threads;
+      auto balanced = KdTree::BulkLoadBalanced(dims, points, opts);
+      ASSERT_TRUE(balanced.ok());
+      ExpectLeafOrdered(*balanced, points);
+
+      // BulkLoad on a tree emptied by removals: the freed slots are
+      // dropped, not permuted.
+      KdTree loaded(dims, opts);
+      ASSERT_TRUE(loaded.Insert(points[0].coords, points[0].id).ok());
+      ASSERT_TRUE(loaded.Remove(points[0].coords, points[0].id).ok());
+      ASSERT_TRUE(loaded.BulkLoad(points).ok());
+      ExpectLeafOrdered(loaded, points);
+      EXPECT_TRUE(loaded.CheckInvariants().ok());
+    }
+  }
+}
+
+TEST(LeafOrderedArenaTest, MutationsAndSnapshotsAfterBulkLoadAnswerExactly) {
+  const size_t dims = 4;
+  auto points = ClusteredPoints(3000, dims, 6, 67);
+  KdTreeOptions opts;
+  opts.build_threads = 4;
+  KdTree tree(dims, opts);
+  ASSERT_TRUE(tree.BulkLoad(points).ok());
+  LinearScanIndex scan(dims);
+  ASSERT_TRUE(scan.BulkLoad(points).ok());
+  ExpectAnswersLikeScan(tree, scan, points, 1);
+
+  // Removals free slots inside leaf runs; inserts reuse them, then
+  // append past the end.
+  for (size_t i = 0; i < points.size(); i += 7) {
+    ASSERT_TRUE(tree.Remove(points[i].coords, points[i].id).ok());
+    ASSERT_TRUE(scan.Remove(points[i].coords, points[i].id).ok());
+  }
+  Rng rng(71);
+  for (size_t i = 0; i < 800; ++i) {
+    std::vector<double> p = points[rng.Uniform(points.size())].coords;
+    for (double& v : p) v += rng.Gaussian();
+    ASSERT_TRUE(tree.Insert(p, PointId(10000 + i)).ok());
+    ASSERT_TRUE(scan.Insert(p, PointId(10000 + i)).ok());
+  }
+  EXPECT_TRUE(tree.CheckInvariants().ok());
+  ExpectAnswersLikeScan(tree, scan, points, 2);
+
+  persist::ByteWriter out;
+  tree.SaveTo(&out);
+  const std::string bytes = out.Take();
+  persist::ByteReader in(bytes);
+  auto loaded = KdTree::LoadFrom(&in);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->CheckInvariants().ok());
+  ExpectAnswersLikeScan(*loaded, scan, points, 3);
 }
 
 // ---------------------------------------------------------------------

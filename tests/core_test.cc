@@ -1,16 +1,20 @@
 // Copyright 2026 The SemTree Authors
 //
 // Tests for the core layer: the flat PointStore arena, the PointBlock
-// migration payload, the shared distance kernel, and the cross-backend
-// equivalence of every SpatialIndex implementation.
+// migration payload, the shared distance kernel, the top-k offer rule,
+// and the cross-backend equivalence of every SpatialIndex
+// implementation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "common/random.h"
 #include "core/backends.h"
+#include "core/best_first.h"
 #include "core/distance.h"
 #include "core/point_block.h"
 #include "core/point_store.h"
@@ -93,6 +97,33 @@ TEST(PointStoreTest, ReservePreallocates) {
   EXPECT_EQ(store.size(), 5000u);
 }
 
+TEST(PointStoreTest, PermuteMovesRowsAndIds) {
+  const size_t n = 300;
+  PointStore store(3, /*chunk_capacity=*/16);  // Cycles cross chunks.
+  auto rows = RandomVectors(n, 3, 6);
+  for (size_t i = 0; i < n; ++i) store.Append(rows[i], PointId(100 + i));
+  std::vector<PointStore::Slot> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = PointStore::Slot(i);
+  Rng rng(7);
+  // Shuffle, then pin a few fixed points among the cycles.
+  for (size_t i = n; i > 1; --i) {
+    std::swap(order[i - 1], order[rng.Uniform(i)]);
+  }
+  for (size_t i : {size_t(0), size_t(17), size_t(n - 1)}) {
+    std::swap(order[i], *std::find(order.begin(), order.end(), i));
+  }
+  store.Permute(order);
+  EXPECT_EQ(store.size(), n);
+  EXPECT_EQ(store.slot_count(), n);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t from = order[i];
+    EXPECT_EQ(store.IdAt(PointStore::Slot(i)), PointId(100 + from));
+    for (size_t d = 0; d < 3; ++d) {
+      EXPECT_EQ(store.CoordsAt(PointStore::Slot(i))[d], rows[from][d]);
+    }
+  }
+}
+
 TEST(PointBlockTest, RoundTripsRows) {
   auto rows = RandomVectors(64, 5, 4);
   PointBlock block(5);
@@ -120,6 +151,69 @@ TEST(DistanceKernelTest, MatchesVectorOverload) {
   EXPECT_DOUBLE_EQ(SquaredEuclideanDistance(rows[0].data(),
                                             rows[0].data(), 16),
                    0.0);
+}
+
+// ---------------------------------------------------------------------
+// The top-k offer rule (core/best_first.h) against sort-then-truncate.
+
+std::vector<Neighbor> SortThenTruncate(std::vector<Neighbor> hits,
+                                       size_t k) {
+  std::sort(hits.begin(), hits.end(), NeighborDistanceThenId);
+  hits.resize(std::min(k, hits.size()));
+  return hits;
+}
+
+// Distances and ids drawn from small sets: many equal distances, and
+// repeated (distance, id) pairs.
+std::vector<Neighbor> TieHeavyStream(Rng* rng) {
+  std::vector<Neighbor> stream(1 + rng->Uniform(120));
+  for (Neighbor& hit : stream) {
+    hit.distance = 0.25 * double(rng->Uniform(8));
+    hit.id = PointId(rng->Uniform(12));
+  }
+  return stream;
+}
+
+TEST(OfferTopKTest, MatchesSortThenTruncate) {
+  Rng rng(19);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::vector<Neighbor> stream = TieHeavyStream(&rng);
+    // k = 0 is legal here: SemTree's result set Rs takes it as is.
+    for (size_t k : {size_t(0), size_t(1), size_t(10), stream.size() + 3}) {
+      std::vector<Neighbor> heap;
+      for (size_t i = 0; i < stream.size(); ++i) {
+        OfferTopK(&heap, k, stream[i]);
+        std::vector<Neighbor> want = SortThenTruncate(
+            {stream.begin(), stream.begin() + ptrdiff_t(i + 1)}, k);
+        ASSERT_EQ(heap.size(), want.size()) << "trial " << trial;
+        if (!want.empty()) {
+          EXPECT_EQ(heap.front(), want.back()) << "trial " << trial;
+        }
+      }
+      std::sort_heap(heap.begin(), heap.end(), NeighborDistanceThenId);
+      EXPECT_EQ(heap, SortThenTruncate(stream, k)) << "k=" << k;
+    }
+  }
+}
+
+TEST(KnnAccumulatorTest, TauIsTheKthBestAfterEveryOffer) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(23);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::vector<Neighbor> stream = TieHeavyStream(&rng);
+    // No k = 0: the walkers return before building an accumulator.
+    for (size_t k : {size_t(1), size_t(10), stream.size() + 3}) {
+      KnnAccumulator acc(k, stream.size());
+      for (size_t i = 0; i < stream.size(); ++i) {
+        acc.Offer(stream[i].id, stream[i].distance);
+        std::vector<Neighbor> want = SortThenTruncate(
+            {stream.begin(), stream.begin() + ptrdiff_t(i + 1)}, k);
+        EXPECT_EQ(acc.tau(), want.size() < k ? kInf : want.back().distance)
+            << "trial " << trial << " k=" << k;
+      }
+      EXPECT_EQ(acc.Take(), SortThenTruncate(stream, k)) << "k=" << k;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

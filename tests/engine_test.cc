@@ -262,6 +262,54 @@ TEST(EngineTest, RejectsMalformedQueriesUpFront) {
   EXPECT_TRUE(empty->outcomes.empty());
 }
 
+// A k beyond anything memory can hold asks for every stored point. No
+// walker may size a buffer by k: each must return all points, as the
+// linear scan does.
+TEST(EngineTest, HugeKReturnsEveryStoredPoint) {
+  const size_t kDims = 3;
+  auto rows = RandomVectors(300, kDims, 31);
+  std::vector<KdPoint> corpus(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) corpus[i] = {rows[i], PointId(i)};
+  auto gold = MakeSpatialIndex(BackendKind::kLinearScan, kDims);
+  ASSERT_TRUE(gold->BulkLoad(corpus).ok());
+
+  std::vector<std::unique_ptr<SpatialIndex>> indexes;
+  for (BackendKind kind :
+       {BackendKind::kKdTree, BackendKind::kVpTree, BackendKind::kMTree}) {
+    indexes.push_back(MakeSpatialIndex(kind, kDims));
+  }
+  VersionedIndex::Options vopts;
+  vopts.merge_threshold = 64;
+  indexes.push_back(std::make_unique<VersionedIndex>(kDims, vopts));
+  const std::vector<double> query = {0.1, -0.2, 0.3};
+  const SpatialQuery huge = SpatialQuery::Knn(query, size_t{1} << 61);
+  for (auto& index : indexes) {
+    ASSERT_TRUE(index->BulkLoad(corpus).ok());
+    QueryEngine engine(index.get());
+    auto got = engine.RunOne(huge);
+    ASSERT_TRUE(got.ok()) << index->name();
+    ExpectSameNeighbors(got->neighbors,
+                        gold->KnnSearch(query, corpus.size()),
+                        std::string(index->name()));
+  }
+  // The RCU wrapper again with a delta: a tombstoned base point and
+  // un-merged adds go through its delta merge.
+  VersionedIndex& rcu = static_cast<VersionedIndex&>(*indexes.back());
+  ASSERT_TRUE(rcu.Remove(rows[0], 0).ok());
+  ASSERT_TRUE(gold->Remove(rows[0], 0).ok());
+  for (size_t i = 0; i < 10; ++i) {
+    std::vector<double> p = {0.01 * double(i), 0.5, -0.5};
+    ASSERT_TRUE(rcu.Insert(p, PointId(1000 + i)).ok());
+    ASSERT_TRUE(gold->Insert(p, PointId(1000 + i)).ok());
+  }
+  ASSERT_GT(rcu.delta_size(), 0u);
+  QueryEngine engine(&rcu);
+  auto got = engine.RunOne(huge);
+  ASSERT_TRUE(got.ok());
+  ExpectSameNeighbors(got->neighbors, gold->KnnSearch(query, gold->size()),
+                      "versioned with delta");
+}
+
 TEST(EngineTest, RejectsNonFiniteQueriesUpFront) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
