@@ -22,7 +22,7 @@ Cluster::~Cluster() { Shutdown(); }
 ComputeNode* Cluster::AddNode() {
   MutexLock lock(nodes_mu_);
   NodeId id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(std::make_unique<ComputeNode>(id, this));
+  nodes_.push_back(std::make_unique<ComputeNode>(id));
   return nodes_.back().get();
 }
 
@@ -64,12 +64,20 @@ void Cluster::Send(NodeId target, uint32_t type, Payload payload,
   msg.payload = std::move(payload);
   msg.approx_bytes = approx_bytes;
   msg.deliver_at = DeliveryTime(approx_bytes);
-  Route(std::move(msg));
+  Route(std::move(msg), /*claim=*/false);
 }
 
 std::future<Payload> Cluster::Call(NodeId target, uint32_t type,
                                    Payload payload, size_t approx_bytes,
                                    NodeId from) {
+  return StartCall(target, type, std::move(payload), approx_bytes, from,
+                   /*claim=*/false);
+}
+
+std::future<Payload> Cluster::StartCall(NodeId target, uint32_t type,
+                                        Payload payload,
+                                        size_t approx_bytes, NodeId from,
+                                        bool claim) {
   if (is_shutdown_.load(std::memory_order_acquire)) {
     std::promise<Payload> dead;
     dead.set_value(nullptr);
@@ -94,29 +102,36 @@ std::future<Payload> Cluster::Call(NodeId target, uint32_t type,
   msg.payload = std::move(payload);
   msg.approx_bytes = approx_bytes;
   msg.deliver_at = DeliveryTime(approx_bytes);
-  Route(std::move(msg));
+  Route(std::move(msg), claim);
   return future;
 }
 
 std::vector<std::future<Payload>> Cluster::CallAll(
     std::vector<OutboundCall> calls, NodeId from) {
+  // A handler must not run another node in its own stack frame.
+  const bool run_here = !ComputeNode::InHandler();
   std::vector<std::future<Payload>> futures;
   futures.reserve(calls.size());
-  for (OutboundCall& c : calls) {
-    futures.push_back(
-        Call(c.target, c.type, std::move(c.payload), c.approx_bytes, from));
+  for (size_t i = 0; i < calls.size(); ++i) {
+    OutboundCall& c = calls[i];
+    futures.push_back(StartCall(c.target, c.type, std::move(c.payload),
+                                c.approx_bytes, from,
+                                run_here && i + 1 == calls.size()));
   }
+  if (run_here) ComputeNode::RunClaimed();
   return futures;
 }
 
 Result<Payload> Cluster::CallAndWait(NodeId target, uint32_t type,
                                      Payload payload, size_t approx_bytes,
                                      NodeId from) {
-  std::future<Payload> future =
-      Call(target, type, std::move(payload), approx_bytes, from);
+  const bool run_here = !ComputeNode::InHandler();
+  std::future<Payload> future = StartCall(
+      target, type, std::move(payload), approx_bytes, from, run_here);
+  if (run_here) ComputeNode::RunClaimed();
   Payload response = future.get();  // Never throws: promise always set.
   if (response == nullptr) {
-    return Status::Unavailable("cluster shut down during call");
+    return Status::Unavailable("cluster shut down or target unknown");
   }
   return response;
 }
@@ -131,7 +146,7 @@ void Cluster::Forward(const Message& request, NodeId new_target,
   msg.from = from;
   msg.to = new_target;
   msg.deliver_at = DeliveryTime(msg.approx_bytes);
-  Route(std::move(msg));
+  Route(std::move(msg), /*claim=*/ComputeNode::InHandler());
 }
 
 void Cluster::Respond(const Message& request, Payload payload,
@@ -145,10 +160,10 @@ void Cluster::Respond(const Message& request, Payload payload,
   msg.payload = std::move(payload);
   msg.approx_bytes = approx_bytes;
   msg.deliver_at = DeliveryTime(approx_bytes);
-  Route(std::move(msg));
+  Route(std::move(msg), /*claim=*/false);
 }
 
-void Cluster::Route(Message msg) {
+void Cluster::Route(Message msg, bool claim) {
   Account(msg);
   bool delayed;
   {
@@ -163,33 +178,41 @@ void Cluster::Route(Message msg) {
   } else {
     // The move into net_queue_ above happens only when `delayed`; the
     // CFG path from it to here is infeasible.
-    DeliverNow(std::move(msg));  // NOLINT(bugprone-use-after-move)
+    DeliverNow(std::move(msg), claim);  // NOLINT(bugprone-use-after-move)
   }
 }
 
-void Cluster::DeliverNow(Message&& msg) {
+void Cluster::DeliverNow(Message&& msg, bool claim) {
   if (msg.type == kResponseType) {
-    std::promise<Payload> promise;
-    {
-      MutexLock lock(pending_mu_);
-      auto it = pending_.find(msg.correlation_id);
-      if (it == pending_.end()) {
-        SEMTREE_LOG(Warning) << "orphan response for correlation "
-                             << msg.correlation_id;
-        return;
-      }
-      promise = std::move(it->second);
-      pending_.erase(it);
+    if (!Resolve(msg.correlation_id, std::move(msg.payload))) {
+      SEMTREE_LOG(Warning) << "orphan response for correlation "
+                           << msg.correlation_id;
     }
-    promise.set_value(std::move(msg.payload));
     return;
   }
+  const uint64_t correlation = msg.correlation_id;
   ComputeNode* target = node(msg.to);
   if (target == nullptr) {
     SEMTREE_LOG(Warning) << "message to unknown node " << msg.to;
+  } else if (target->Deliver(std::move(msg), claim)) {
     return;
   }
-  target->Deliver(std::move(msg));
+  // Nobody will answer: fail the call now rather than leave its caller
+  // blocked until Shutdown.
+  if (correlation != 0) Resolve(correlation, nullptr);
+}
+
+bool Cluster::Resolve(uint64_t correlation, Payload payload) {
+  std::promise<Payload> promise;
+  {
+    MutexLock lock(pending_mu_);
+    auto it = pending_.find(correlation);
+    if (it == pending_.end()) return false;
+    promise = std::move(it->second);
+    pending_.erase(it);
+  }
+  promise.set_value(std::move(payload));
+  return true;
 }
 
 void Cluster::NetworkLoop() {
@@ -225,7 +248,7 @@ void Cluster::NetworkLoop() {
     Message msg = std::move(const_cast<Scheduled&>(net_queue_.top()).msg);
     net_queue_.pop();
     net_mu_.Unlock();
-    DeliverNow(std::move(msg));
+    DeliverNow(std::move(msg), /*claim=*/false);
     net_mu_.Lock();
   }
   net_mu_.Unlock();
@@ -266,9 +289,9 @@ void Cluster::Shutdown() {
     MutexLock lock(net_mu_);
     net_running_ = false;
   }
-  // Unblock any worker waiting on an in-flight RPC, then stop the
+  // Unblock any handler waiting on an in-flight RPC, then stop the
   // nodes; new Calls after this point resolve to nullptr immediately,
-  // so the workers cannot block again.
+  // so no handler can block again.
   resolve_pending();
   std::vector<ComputeNode*> nodes;
   {

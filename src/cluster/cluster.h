@@ -68,7 +68,8 @@ class Cluster {
 
   /// RPC: sends a request and returns a future resolved by the
   /// handler's Respond (possibly after forwarding). The future holds a
-  /// null Payload if the cluster shuts down first.
+  /// null Payload if the cluster shuts down first or no node takes the
+  /// request.
   std::future<Payload> Call(NodeId target, uint32_t type, Payload payload,
                             size_t approx_bytes = 64,
                             NodeId from = kClientNode);
@@ -83,13 +84,17 @@ class Cluster {
 
   /// Issues one RPC per entry and returns the futures in order: the
   /// fan-out primitive of a client that keeps many requests in flight
-  /// (SemTree's search loop, snapshot save). Waiting on the futures
-  /// belongs to the caller; a handler that waited on them would park
-  /// its worker (compute_node.h).
+  /// (SemTree's search loop, snapshot save). The node workers run every
+  /// call but the last, in parallel; outside a handler the calling
+  /// thread runs the last one itself when its node is idle
+  /// (compute_node.h). Waiting on the futures belongs to the caller; a
+  /// handler that waited on them would hold its node until they answer.
   std::vector<std::future<Payload>> CallAll(std::vector<OutboundCall> calls,
                                             NodeId from = kClientNode);
 
-  /// Blocking RPC convenience; surfaces shutdown as Unavailable.
+  /// Blocking RPC convenience; surfaces shutdown, or a target that
+  /// does not exist, as Unavailable. Outside a handler the calling
+  /// thread runs the target itself when it is idle (compute_node.h).
   Result<Payload> CallAndWait(NodeId target, uint32_t type,
                               Payload payload, size_t approx_bytes = 64,
                               NodeId from = kClientNode);
@@ -97,7 +102,9 @@ class Cluster {
   /// Re-targets an in-flight request to another node, preserving its
   /// correlation id so the eventual Respond still reaches the original
   /// caller (used by the insertion protocol: "a message containing the
-  /// point to be added has to be sent to the correct partition").
+  /// point to be added has to be sent to the correct partition"). From
+  /// inside a handler, an idle target runs on the forwarding thread
+  /// once the handler has returned (compute_node.h).
   void Forward(const Message& request, NodeId new_target, NodeId from);
 
   /// Answers a request; resolves the caller's future.
@@ -116,8 +123,16 @@ class Cluster {
   // to the pending-call registry instead of a node.
   static constexpr uint32_t kResponseType = 0xFFFFFFFFu;
 
-  void Route(Message msg);
-  void DeliverNow(Message&& msg);
+  // `claim`: an idle target may be claimed for the calling thread
+  // (ComputeNode::Deliver); only deliveries made without the latency
+  // model's network thread can be.
+  std::future<Payload> StartCall(NodeId target, uint32_t type,
+                                 Payload payload, size_t approx_bytes,
+                                 NodeId from, bool claim);
+  void Route(Message msg, bool claim);
+  void DeliverNow(Message&& msg, bool claim);
+  // Resolves an in-flight RPC; false if it is not pending.
+  bool Resolve(uint64_t correlation, Payload payload);
   void NetworkLoop();
   std::chrono::steady_clock::time_point DeliveryTime(size_t bytes) const;
   void Account(const Message& msg);

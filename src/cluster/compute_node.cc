@@ -6,10 +6,15 @@
 
 namespace semtree {
 
-ComputeNode::ComputeNode(NodeId id, Cluster* cluster)
-    : id_(id), cluster_(cluster) {
-  (void)cluster_;
-}
+namespace {
+
+// The node this thread has claimed and runs next; at most one.
+thread_local ComputeNode* t_claimed = nullptr;
+thread_local bool t_in_handler = false;
+
+}  // namespace
+
+ComputeNode::ComputeNode(NodeId id) : id_(id) {}
 
 ComputeNode::~ComputeNode() { Stop(); }
 
@@ -18,33 +23,95 @@ void ComputeNode::RegisterHandler(uint32_t type, Handler handler) {
 }
 
 void ComputeNode::Start() {
-  if (started_) return;
-  started_ = true;
+  {
+    MutexLock lock(mu_);
+    if (started_) return;
+    started_ = true;
+  }
   worker_ = std::thread([this]() { WorkerLoop(); });
 }
 
 void ComputeNode::Stop() {
-  mailbox_.Close();
+  {
+    MutexLock lock(mu_);
+    stopped_ = true;
+  }
+  cv_.NotifyOne();
   if (worker_.joinable()) worker_.join();
 }
 
-void ComputeNode::Deliver(Message msg) { mailbox_.Push(std::move(msg)); }
+bool ComputeNode::Deliver(Message msg, bool claim) {
+  {
+    MutexLock lock(mu_);
+    if (stopped_) return false;
+    queue_.push_back(std::move(msg));
+    if (running_) return true;  // Its current thread drains the queue.
+    if (claim && started_ && t_claimed == nullptr) {
+      running_ = true;
+      t_claimed = this;
+      return true;
+    }
+  }
+  cv_.NotifyOne();
+  return true;
+}
+
+void ComputeNode::RunClaimed() {
+  while (ComputeNode* node = t_claimed) {
+    t_claimed = nullptr;
+    node->Drain();
+  }
+}
+
+bool ComputeNode::InHandler() { return t_in_handler; }
 
 void ComputeNode::WorkerLoop() {
-  Message msg;
-  while (mailbox_.Pop(&msg)) {
-    auto it = handlers_.find(msg.type);
-    if (it == handlers_.end()) {
-      SEMTREE_LOG(Warning) << "node " << id_
-                           << " dropped message of unknown type "
-                           << msg.type;
-      continue;
+  for (;;) {
+    {
+      MutexLock lock(mu_);
+      // While another thread holds running_, it drains the queue.
+      while (running_ || (queue_.empty() && !stopped_)) cv_.Wait(mu_);
+      if (queue_.empty()) return;  // Stopped, drained and released.
+      running_ = true;
     }
-    // Count before dispatching: the handler may answer its caller, who
-    // must then see this message counted.
-    processed_.fetch_add(1, std::memory_order_relaxed);
-    it->second(msg);
+    Drain();
+    RunClaimed();
   }
+}
+
+void ComputeNode::Drain() {
+  for (;;) {
+    Message msg;
+    {
+      MutexLock lock(mu_);
+      // A thread runs one node at a time, so a handler's claim on
+      // another node releases this one, to its worker if work is left.
+      if (queue_.empty() || t_claimed != nullptr) {
+        running_ = false;
+        // A stopping worker waits for this release.
+        if (!queue_.empty() || stopped_) cv_.NotifyOne();
+        return;
+      }
+      msg = std::move(queue_.front());
+      queue_.pop_front();
+    }
+    Dispatch(msg);
+  }
+}
+
+void ComputeNode::Dispatch(const Message& msg) {
+  auto it = handlers_.find(msg.type);
+  if (it == handlers_.end()) {
+    SEMTREE_LOG(Warning) << "node " << id_
+                         << " dropped message of unknown type " << msg.type;
+    return;
+  }
+  // Count before dispatching: the handler may answer its caller, who
+  // must then see this message counted.
+  processed_.fetch_add(1, std::memory_order_relaxed);
+  t_in_handler = true;
+  it->second(msg);
+  t_in_handler = false;
 }
 
 }  // namespace semtree

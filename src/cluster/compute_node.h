@@ -1,40 +1,46 @@
 // Copyright 2026 The SemTree Authors
 //
-// A simulated compute node: a mailbox plus a worker thread dispatching
-// messages to registered handlers. One SemTree partition lives on one
-// compute node (paper §III-B: partitions are "usually managed by a
-// single compute node").
+// A simulated compute node: a FIFO message queue plus a running flag,
+// dispatching messages to registered handlers. One SemTree partition
+// lives on one compute node (paper §III-B: partitions are "usually
+// managed by a single compute node").
 
 #ifndef SEMTREE_CLUSTER_COMPUTE_NODE_H_
 #define SEMTREE_CLUSTER_COMPUTE_NODE_H_
 
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <thread>
 #include <unordered_map>
 
-#include "cluster/mailbox.h"
 #include "cluster/message.h"
+#include "common/mutex.h"
 
 namespace semtree {
 
-class Cluster;
-
 /// One node of the simulated cluster.
 ///
-/// Handlers run on the node's single worker thread, so all state owned
-/// by the node (e.g. its partition) is mutated serially without locks.
-/// A handler that waits on a nested Cluster::Call parks this worker
-/// until the callee answers, so such waits must never form a cycle.
-/// SemTree keeps exactly one: build-partition waits on bulk-build calls
-/// to freshly created partitions, whose handler calls nobody. Searches
-/// forward their work item or hand subtrees back to the caller, and
-/// never wait.
+/// Whichever thread holds the node's running flag runs its handlers,
+/// one at a time in queue order, and drains the queue before it
+/// releases the flag, so all state owned by the node (e.g. its
+/// partition) is mutated serially without locks. That thread is the
+/// node's worker, or a sender that claimed the idle node (Deliver with
+/// `claim`): a sender about to wait runs it at once, and a handler's
+/// Forward runs it on the same thread after the handler returns. No
+/// handler runs inside another handler's stack frame (DESIGN.md §2).
+///
+/// A handler that waits on a nested Cluster::Call holds this node until
+/// the callee answers, so such waits must never form a cycle. SemTree
+/// keeps exactly one: build-partition waits on bulk-build calls to
+/// freshly created partitions, whose handler calls nobody; a call from
+/// inside a handler runs on the callee's worker. Searches forward their
+/// work item or hand subtrees back to the caller, and never wait.
 class ComputeNode {
  public:
   using Handler = std::function<void(const Message&)>;
 
-  ComputeNode(NodeId id, Cluster* cluster);
+  explicit ComputeNode(NodeId id);
   ~ComputeNode();
 
   ComputeNode(const ComputeNode&) = delete;
@@ -49,11 +55,25 @@ class ComputeNode {
   /// Spawns the worker thread.
   void Start();
 
-  /// Closes the mailbox and joins the worker. Idempotent.
+  /// Refuses further messages, then joins the worker once every
+  /// message queued before the call has run and no thread runs the
+  /// node. Idempotent.
   void Stop();
 
-  /// Enqueues a message for this node (called by the Cluster).
-  void Deliver(Message msg);
+  /// Queues a message for this node; false (and the message dropped)
+  /// after Stop(). With `claim`, an idle started node is claimed for
+  /// the calling thread unless it already holds a claim, and the
+  /// thread's outermost loop (RunClaimed) runs it. Otherwise the node's
+  /// current thread or its worker runs the message.
+  bool Deliver(Message msg, bool claim);
+
+  /// Runs the node this thread claimed through Deliver, if any, and
+  /// the nodes its handlers forward to, one at a time. Called outside
+  /// any handler.
+  static void RunClaimed();
+
+  /// Whether the calling thread is running a handler.
+  static bool InHandler();
 
   /// Messages dispatched to a handler so far (for stats). A message is
   /// counted before its handler runs, so a caller whose call has been
@@ -64,22 +84,31 @@ class ComputeNode {
 
  private:
   void WorkerLoop();
+  // Runs queued messages on the calling thread, which holds the
+  // running flag, until the queue is empty or a handler claimed
+  // another node; then releases the flag.
+  void Drain();
+  void Dispatch(const Message& msg);
 
   NodeId id_;
-  Cluster* cluster_;
-  Mailbox mailbox_;  // Internally synchronized; the only cross-thread door.
+  Mutex mu_;  // Orders consecutive holders of running_.
+  CondVar cv_;  // Wakes the worker: work for it, or stop.
+  std::deque<Message> queue_ GUARDED_BY(mu_);
+  bool running_ GUARDED_BY(mu_) = false;  // A thread is draining queue_.
+  bool started_ GUARDED_BY(mu_) = false;
+  bool stopped_ GUARDED_BY(mu_) = false;
   // Deliberately lock-free by *confinement*, not by accident:
-  //  - handlers_ and started_ are written only before Start() spawns the
-  //    worker (RegisterHandler documents the contract) and read-only
-  //    afterwards; the thread constructor's synchronizes-with edge
-  //    publishes them to the worker.
-  //  - Partition state captured by the handlers is touched only from
-  //    WorkerLoop, which drains the mailbox serially.
+  //  - handlers_ is written only before Start() and read-only
+  //    afterwards; Start() publishes it under mu_ to every thread
+  //    that later claims the node, and the thread constructor to the
+  //    worker.
+  //  - Partition state captured by the handlers is touched only by
+  //    the thread holding running_, and mu_ orders consecutive
+  //    holders.
   // Anything that breaks either rule must grow a Mutex here.
   std::unordered_map<uint32_t, Handler> handlers_;
-  std::thread worker_;
   std::atomic<uint64_t> processed_{0};
-  bool started_ = false;
+  std::thread worker_;
 };
 
 }  // namespace semtree

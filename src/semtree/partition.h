@@ -71,8 +71,10 @@ struct SubtreeInfo {
   bool fully_local = true;
 };
 
-/// The node arena of one partition. All mutation happens on the owning
-/// compute node's worker thread; the class itself is not synchronized.
+/// The node arena of one partition. All mutation happens in the owning
+/// compute node's handlers, which run one at a time on whichever thread
+/// holds the node (compute_node.h); the class itself is not
+/// synchronized.
 class Partition {
  public:
   using Slot = PointStore::Slot;
@@ -133,7 +135,7 @@ class Partition {
   void RemovePoints(size_t n) { points_ -= std::min(points_, n); }
 
   /// Load accounting (DESIGN.md §12). Like every other partition
-  /// field, the counters are mutated only on the owning worker thread
+  /// field, the counters are mutated only by the owning node's handlers
   /// (op handlers charge them; the stats handler reads and decays
   /// them), so plain doubles suffice.
   void RecordLoad(double ops, double distances) {
@@ -206,9 +208,9 @@ class Partition {
   PartitionStats Stats() const;
 
   /// Serializes this partition — node arena, roots, buckets, point
-  /// count, coordinate store — into one snapshot blob. Runs on the
-  /// owning compute node's worker (the snapshot protocol handler), so
-  /// it sees a quiescent partition.
+  /// count, coordinate store — into one snapshot blob. Runs in the
+  /// owning compute node's snapshot handler, so it sees a quiescent
+  /// partition.
   void SaveTo(persist::ByteWriter* out) const;
 
   /// Replaces all state with a saved blob's. `expected_partitions`

@@ -14,7 +14,7 @@
 // ever grows: nothing is merged back and no seat is freed.
 //
 // Readers are never stopped. Every handler-side mutation happens in
-// ONE handler activation on the owning worker thread, so concurrent
+// ONE handler activation of the owning compute node, so concurrent
 // traversals observe either the old or the new structure; frames
 // captured across the install hit dead nodes and are dropped. The
 // writes that land between the copy and the install are reconciled by
@@ -23,7 +23,8 @@
 //
 // Deadlock-freedom: rebalance RPCs are only ever issued from the
 // coordinator thread, never from inside a handler, so they add no
-// nested-call edges. (No search handler waits either; the one handler
+// nested-call edges; the coordinator may run their handlers itself
+// (compute_node.h). (No search handler waits either; the one handler
 // that does is build-partition, whose bulk-build callees call nobody.)
 //
 // Seat order: the halves always land on fresh seats, which take the
@@ -112,7 +113,8 @@ PointBlock RowsMissingFrom(const PointBlock& a, const PointBlock& b) {
 }  // namespace
 
 // --------------------------------------------------------------------
-// Handler side (runs on the owning partition's worker thread)
+// Handler side (runs on whichever thread holds the owning partition's
+// compute node, one handler at a time)
 
 void SemTree::RegisterRebalanceHandlers(Partition* part,
                                         ComputeNode* node) {
@@ -196,7 +198,7 @@ void SemTree::HandleInstallSplit(Partition* p, const Message& msg) {
   p->DetachSubtree(req.node);
   p->RemovePoints(slots.size());
   p->BumpRebalances();
-  // Publish: one field-wise write on the owning worker — concurrent
+  // Publish: one field-wise write in this handler — concurrent
   // traversals entering this node afterwards follow the new edges.
   Partition::PNode& n = p->node(req.node);
   n.is_leaf = false;

@@ -211,38 +211,45 @@ SemTree::SemTree(SemTreeOptions options) : options_(std::move(options)) {
 }
 
 SemTree::~SemTree() {
-  // The background rebalancer issues cluster calls; it must be gone
-  // before the workers stop draining mailboxes.
+  // The background rebalancer issues cluster calls and runs handlers
+  // on its own thread; it must be gone before the nodes stop.
   StopRebalancer();
   cluster_->Shutdown();
-  // Workers are gone, so no reader can be pinned: the current table
-  // dies here and the retired ones drain in RetireList's destructor.
+  // Every node has stopped and no handler runs, so no reader can be
+  // pinned: the current table dies here and the retired ones drain in
+  // RetireList's destructor.
   delete partition_table_.load(std::memory_order_seq_cst);
 }
 
 int32_t SemTree::CreatePartition() {
-  int32_t id;
-  {
-    MutexLock lock(partitions_mu_);
-    if (partitions_.size() >= options_.max_partitions) return -1;
-    id = static_cast<int32_t>(partitions_.size());
-    partitions_.push_back(std::make_unique<Partition>(
-        id, options_.dimensions, options_.bucket_size));
-    // RCU publish (core/epoch.h): a rebuilt immutable table replaces
-    // the published one; routing hops pinned to the old table keep
-    // reading it until they drain, then it is reclaimed.
-    auto* next = new PartitionTable;
-    next->entries.reserve(partitions_.size());
-    for (const auto& p : partitions_) next->entries.push_back(p.get());
-    const PartitionTable* old =
-        partition_table_.exchange(next, std::memory_order_seq_cst);
-    const uint64_t retire = partition_epochs_.Advance();
-    retired_tables_.Retire(retire, /*tag=*/retire, [old] { delete old; });
-    retired_tables_.ReclaimBefore(partition_epochs_.MinActiveEpoch());
-  }
+  // Messages address a partition by its node id, so the node is
+  // created and started under the same lock that picks the partition
+  // id, and the partition is published only once its node runs.
+  MutexLock lock(partitions_mu_);
+  if (partitions_.size() >= options_.max_partitions) return -1;
+  const int32_t id = static_cast<int32_t>(partitions_.size());
+  auto part = std::make_unique<Partition>(id, options_.dimensions,
+                                          options_.bucket_size);
   ComputeNode* node = cluster_->AddNode();
-  RegisterHandlers(partition(id), node);
+  if (node->id() != id) {
+    SEMTREE_LOG(Error) << "partition " << id << " got compute node "
+                       << node->id();
+    return -1;
+  }
+  RegisterHandlers(part.get(), node);
   node->Start();
+  partitions_.push_back(std::move(part));
+  // RCU publish (core/epoch.h): a rebuilt immutable table replaces
+  // the published one; routing hops pinned to the old table keep
+  // reading it until they drain, then it is reclaimed.
+  auto* next = new PartitionTable;
+  next->entries.reserve(partitions_.size());
+  for (const auto& p : partitions_) next->entries.push_back(p.get());
+  const PartitionTable* old =
+      partition_table_.exchange(next, std::memory_order_seq_cst);
+  const uint64_t retire = partition_epochs_.Advance();
+  retired_tables_.Retire(retire, /*tag=*/retire, [old] { delete old; });
+  retired_tables_.ReclaimBefore(partition_epochs_.MinActiveEpoch());
   return id;
 }
 
@@ -814,7 +821,7 @@ void SemTree::HandleSearch(Partition* p, const Message& msg) {
       return;
     } else {
       // Hand the remote subtree back: the caller runs it in parallel
-      // with the others, so this worker never waits on another node.
+      // with the others, so this handler never waits on another node.
       item.remote.push_back(ChildRef{top.partition, top.node});
       item.stack.pop_back();
     }

@@ -26,7 +26,7 @@
 //    walks its local subtree and hands each remote child back to the
 //    caller, which runs those subqueries in parallel and merges the
 //    partial result sets: the waiting happens at the caller, never in a
-//    partition worker.
+//    partition handler.
 // Both travel as one work item type through one handler and one client
 // loop (protocol.h's SearchItem, BatchSearch below).
 
@@ -118,7 +118,8 @@ struct DistributedSearchStats {
 };
 
 /// The distributed index. Create once, then use from any thread:
-/// partition state is only ever touched by its compute node's worker.
+/// partition state is only ever touched by its compute node's handlers,
+/// which run one at a time.
 class SemTree {
  public:
   /// Builds an empty SemTree (one root partition on one compute node).
@@ -274,15 +275,18 @@ class SemTree {
  private:
   explicit SemTree(SemTreeOptions options);
 
-  /// Allocates a new partition + compute node; -1 if max_partitions
-  /// is reached. Thread-safe.
+  /// Allocates a new partition + compute node with the same id, and
+  /// publishes the partition once its node runs; -1 if max_partitions
+  /// is reached. Thread-safe; takes Cluster::nodes_mu_ inside
+  /// partitions_mu_.
   int32_t CreatePartition();
   void RegisterHandlers(Partition* partition, ComputeNode* node);
 
   Partition* partition(int32_t id) const;
   bool IsSaturated(const Partition& partition) const;
 
-  // Message handlers (run on the owning partition's worker thread).
+  // Message handlers: each runs on whichever thread holds the owning
+  // partition's compute node, one at a time (compute_node.h).
   void HandleInsert(Partition* p, const Message& msg);
   void HandleRemove(Partition* p, const Message& msg);
   void HandleSearch(Partition* p, const Message& msg);
@@ -327,8 +331,8 @@ class SemTree {
   // on the hot path — while the writer swaps in a rebuilt table under
   // partitions_mu_ and retires the old one until the last pinned
   // reader drains. The Partition objects themselves are not part of
-  // the protocol: each one's state is thread-confined to its compute
-  // node's worker thread (compute_node.h), and the pointers stay
+  // the protocol: each one's state is confined to the thread that
+  // holds its compute node (compute_node.h), and the pointers stay
   // valid for the tree's lifetime — only the *table* is versioned.
   struct PartitionTable {
     std::vector<Partition*> entries;  // Borrowed from partitions_.
@@ -344,9 +348,10 @@ class SemTree {
   std::atomic<size_t> total_points_{0};
 
   // Rebalancer state (DESIGN.md §12). rebalance_mu_ serializes ticks
-  // and guards the counters; when a tick creates a partition it takes
-  // partitions_mu_ *inside* rebalance_mu_ (never the reverse). The
-  // epoch is read locklessly by cache layers.
+  // and guards the counters; when a tick creates a partition, or runs
+  // a build-partition handler inline, it takes partitions_mu_ *inside*
+  // rebalance_mu_ (never the reverse). The epoch is read locklessly by
+  // cache layers.
   mutable Mutex rebalance_mu_;
   RebalanceCounters rebalance_counters_ GUARDED_BY(rebalance_mu_);
   std::atomic<uint64_t> rebalance_epoch_{0};

@@ -1,10 +1,13 @@
 // Copyright 2026 The SemTree Authors
 //
-// Tests for the simulated cluster: mailboxes, RPC, forwarding, the
-// latency model and shutdown semantics.
+// Tests for the simulated cluster: RPC, forwarding, which thread runs
+// a node's handlers, the latency model and shutdown semantics.
 
+#include <algorithm>
 #include <atomic>
+#include <future>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,51 +16,6 @@
 
 namespace semtree {
 namespace {
-
-// ---------------------------------------------------------------------
-// Mailbox
-
-TEST(MailboxTest, FifoOrder) {
-  Mailbox box;
-  for (uint32_t i = 0; i < 10; ++i) {
-    Message m;
-    m.type = i;
-    box.Push(std::move(m));
-  }
-  EXPECT_EQ(box.size(), 10u);
-  Message out;
-  for (uint32_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(box.Pop(&out));
-    EXPECT_EQ(out.type, i);
-  }
-}
-
-TEST(MailboxTest, CloseUnblocksAndDrains) {
-  Mailbox box;
-  Message m;
-  m.type = 1;
-  box.Push(std::move(m));
-  box.Close();
-  Message out;
-  EXPECT_TRUE(box.Pop(&out));   // Pending message still delivered.
-  EXPECT_FALSE(box.Pop(&out));  // Then closed-and-empty.
-  Message late;
-  box.Push(std::move(late));    // Pushes after close are dropped.
-  EXPECT_FALSE(box.Pop(&out));
-}
-
-TEST(MailboxTest, PopBlocksUntilPush) {
-  Mailbox box;
-  std::atomic<bool> got{false};
-  std::thread consumer([&]() {
-    Message out;
-    if (box.Pop(&out)) got.store(true);
-  });
-  Message m;
-  box.Push(std::move(m));
-  consumer.join();
-  EXPECT_TRUE(got.load());
-}
 
 // ---------------------------------------------------------------------
 // RPC
@@ -192,9 +150,12 @@ TEST(ClusterTest, StatsAccountMessagesAndBytes) {
 TEST(ClusterTest, UnknownTargetDoesNotCrash) {
   Cluster cluster;
   cluster.Send(42, kEcho, MakePayload<int>(0));
-  // A Call to an unknown node leaves a pending future that shutdown
-  // resolves with nullptr.
+  // No node takes a Call to an unknown node, so its future resolves
+  // with nullptr at once, without waiting for shutdown.
   auto f = cluster.Call(42, kEcho, MakePayload<int>(0));
+  EXPECT_TRUE(
+      cluster.CallAndWait(42, kEcho, MakePayload<int>(0)).status()
+          .IsUnavailable());
   cluster.Shutdown();
   EXPECT_EQ(f.get(), nullptr);
 }
@@ -217,6 +178,203 @@ TEST(ClusterTest, ShutdownIsIdempotent) {
   cluster.AddNode()->Start();
   cluster.Shutdown();
   cluster.Shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Which thread runs a node's handlers
+
+constexpr uint32_t kProbe = 4;
+
+TEST(ComputeNodeTest, CallAndWaitRunsIdleNodeOnCaller) {
+  Cluster cluster;
+  ComputeNode* a = cluster.AddNode();
+  ComputeNode* b = cluster.AddNode();
+  std::thread::id a_ran_on;
+  std::thread::id b_ran_on;
+  NodeId b_id = b->id();
+  a->RegisterHandler(kRelay, [&](const Message& m) {
+    a_ran_on = std::this_thread::get_id();
+    cluster.Forward(m, b_id, m.to);
+  });
+  b->RegisterHandler(kRelay, [&](const Message& m) {
+    b_ran_on = std::this_thread::get_id();
+    cluster.Respond(m, m.payload);
+  });
+  a->Start();
+  b->Start();
+  ASSERT_TRUE(
+      cluster.CallAndWait(a->id(), kRelay, MakePayload<int>(1)).ok());
+  // The caller ran A, and then B, which A forwarded to.
+  EXPECT_EQ(a_ran_on, std::this_thread::get_id());
+  EXPECT_EQ(b_ran_on, std::this_thread::get_id());
+}
+
+TEST(ComputeNodeTest, NetworkThreadDeliveriesRunOnTheWorker) {
+  ClusterOptions opts;
+  opts.latency = std::chrono::microseconds(1);
+  Cluster cluster(opts);
+  ComputeNode* node = cluster.AddNode();
+  std::thread::id ran_on;
+  node->RegisterHandler(kEcho, [&](const Message& m) {
+    ran_on = std::this_thread::get_id();
+    cluster.Respond(m, m.payload);
+  });
+  node->Start();
+  ASSERT_TRUE(
+      cluster.CallAndWait(node->id(), kEcho, MakePayload<int>(1)).ok());
+  EXPECT_NE(ran_on, std::thread::id());
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+}
+
+TEST(ComputeNodeTest, OneHandlerAtATimeInFifoOrderPerSender) {
+  // Four clients drive a four-node forwarding ring, mixing async calls
+  // (run by the workers) with blocking ones (run by the caller when the
+  // start node is idle), so every node is run by several threads.
+  constexpr int kNodes = 4;
+  constexpr int kClients = 4;
+  constexpr int kCalls = 1000;
+  struct Hop {
+    int client = 0;
+    int seq = 0;
+    int hops = 0;
+  };
+  Cluster cluster;
+  std::vector<ComputeNode*> nodes;
+  for (int i = 0; i < kNodes; ++i) nodes.push_back(cluster.AddNode());
+  std::atomic<bool> busy[kNodes] = {};
+  std::atomic<int> overlaps{0};
+  std::atomic<int> out_of_order{0};
+  // Touched only by node n's handlers, which must run one at a time.
+  std::vector<std::vector<int>> last_seq(
+      kNodes, std::vector<int>(kClients, -1));
+  for (int n = 0; n < kNodes; ++n) {
+    NodeId next = nodes[size_t((n + 1) % kNodes)]->id();
+    nodes[size_t(n)]->RegisterHandler(kRelay, [&, n, next](
+                                                  const Message& m) {
+      if (busy[n].exchange(true)) overlaps.fetch_add(1);
+      Hop& hop = PayloadAs<Hop>(m.payload);
+      int& last = last_seq[size_t(n)][size_t(hop.client)];
+      if (hop.seq <= last) out_of_order.fetch_add(1);
+      last = hop.seq;
+      ++hop.hops;
+      busy[n].store(false);
+      if (hop.hops < kNodes) {
+        cluster.Forward(m, next, m.to);
+      } else {
+        cluster.Respond(m, m.payload);
+      }
+    });
+    nodes[size_t(n)]->Start();
+  }
+  std::atomic<int> failed{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c]() {
+      NodeId start = nodes[size_t(c % kNodes)]->id();
+      std::vector<std::future<Payload>> pending;
+      for (int seq = 0; seq < kCalls; ++seq) {
+        Payload payload = MakePayload<Hop>(Hop{c, seq, 0});
+        if (seq % 2 == 0) {
+          pending.push_back(cluster.Call(start, kRelay, payload));
+          continue;
+        }
+        auto r = cluster.CallAndWait(start, kRelay, payload);
+        if (!r.ok() || PayloadAs<Hop>(*r).hops != kNodes) failed++;
+      }
+      for (std::future<Payload>& f : pending) {
+        Payload p = f.get();
+        if (p == nullptr || PayloadAs<Hop>(p).hops != kNodes) failed++;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_EQ(out_of_order.load(), 0);
+  uint64_t processed = 0;
+  for (ComputeNode* n : nodes) processed += n->processed();
+  EXPECT_EQ(processed, uint64_t(kNodes) * kClients * kCalls);
+}
+
+TEST(ComputeNodeTest, ForwardRunsAfterTheForwardingHandlerReturns) {
+  // A forwards to B, which forwards back to A: A's second handler must
+  // start only after its first has returned, and no handler may start
+  // inside another's stack frame.
+  Cluster cluster;
+  ComputeNode* a = cluster.AddNode();
+  ComputeNode* b = cluster.AddNode();
+  NodeId a_id = a->id();
+  NodeId b_id = b->id();
+  int depth = 0;  // Handlers running on this test's thread.
+  int max_depth = 0;
+  bool a_first_returned = false;
+  bool a_second_saw_first_returned = false;
+  auto enter = [&]() { max_depth = std::max(max_depth, ++depth); };
+  a->RegisterHandler(kRelay, [&](const Message& m) {
+    enter();
+    int& visits = PayloadAs<int>(m.payload);
+    if (visits++ == 0) {
+      cluster.Forward(m, b_id, a_id);
+      a_first_returned = true;
+    } else {
+      a_second_saw_first_returned = a_first_returned;
+      cluster.Respond(m, m.payload);
+    }
+    --depth;
+  });
+  b->RegisterHandler(kRelay, [&](const Message& m) {
+    enter();
+    cluster.Forward(m, a_id, b_id);
+    --depth;
+  });
+  a->Start();
+  b->Start();
+  auto r = cluster.CallAndWait(a_id, kRelay, MakePayload<int>(0));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(PayloadAs<int>(*r), 2);
+  EXPECT_TRUE(a_second_saw_first_returned);
+  EXPECT_EQ(max_depth, 1);
+}
+
+TEST(ComputeNodeTest, StopRunsQueuedMessagesAndDropsLaterOnes) {
+  Cluster cluster;
+  ComputeNode* node = cluster.AddNode();
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  std::atomic<int> work_ran{0};
+  std::atomic<int> probes_ran{0};
+  node->RegisterHandler(kEcho, [&](const Message&) {
+    if (!entered.exchange(true)) {
+      while (!release.load()) std::this_thread::yield();
+    }
+    work_ran.fetch_add(1);
+  });
+  node->RegisterHandler(kProbe, [&](const Message&) {
+    probes_ran.fetch_add(1);
+  });
+  node->Start();
+  // The worker blocks in the first handler; four more wait behind it.
+  for (int i = 0; i < 5; ++i) cluster.Send(node->id(), kEcho, nullptr);
+  while (!entered.load()) std::this_thread::yield();
+  std::thread stopper([node]() { node->Stop(); });
+  // Probe until the node refuses a message: Stop() has begun.
+  int probes_queued = 0;
+  for (;;) {
+    Message probe;
+    probe.type = kProbe;
+    if (!node->Deliver(std::move(probe), /*claim=*/false)) break;
+    ++probes_queued;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  release.store(true);
+  stopper.join();
+  EXPECT_EQ(work_ran.load(), 5);
+  EXPECT_EQ(probes_ran.load(), probes_queued);
+  // A call to the stopped node is dropped and fails at once.
+  EXPECT_TRUE(cluster.CallAndWait(node->id(), kEcho, nullptr)
+                  .status()
+                  .IsUnavailable());
+  EXPECT_EQ(work_ran.load(), 5);
 }
 
 // ---------------------------------------------------------------------

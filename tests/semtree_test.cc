@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -328,6 +330,77 @@ TEST(SemTreeTest, ConcurrentClientInsertsAllLand) {
     ASSERT_TRUE(hit.ok());
     ASSERT_EQ(hit->size(), 1u);
     EXPECT_DOUBLE_EQ((*hit)[0].distance, 0.0);
+  }
+}
+
+TEST(SemTreeTest, ConcurrentBuildPartitionsKeepPartitionAndNodeIds) {
+  // Eight clients each saturate their own bulk-loaded region at once,
+  // so eight build-partition handlers create partitions concurrently.
+  // Messages address a partition by its compute node's id, so every
+  // partition must live on the node with its own id.
+  constexpr size_t kDims = 2;
+  constexpr size_t kRegions = 8;
+  constexpr size_t kBulkPerRegion = 100;
+  constexpr size_t kInsertsPerRegion = 60;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SemTreeOptions opts;
+    opts.dimensions = kDims;
+    opts.max_partitions = 160;
+    opts.bulk_load_partitions = kRegions;
+    opts.partition_capacity = 104;
+    auto tree = SemTree::Create(opts);
+    ASSERT_TRUE(tree.ok());
+    // Region r spans x in [r, r + 1), so the bulk load's median cuts
+    // give each region its own partition.
+    Rng rng(seed);
+    PointId next_id = 0;
+    auto in_region = [&](size_t r) {
+      return KdPoint{{double(r) + rng.UniformDouble(0.0, 1.0),
+                      rng.UniformDouble(0.0, 1.0)},
+                     next_id++};
+    };
+    std::vector<KdPoint> all;
+    for (size_t r = 0; r < kRegions; ++r) {
+      for (size_t i = 0; i < kBulkPerRegion; ++i) all.push_back(in_region(r));
+    }
+    ASSERT_TRUE((*tree)->BulkLoadBalanced(all).ok());
+    std::vector<std::vector<KdPoint>> inserts(kRegions);
+    for (size_t r = 0; r < kRegions; ++r) {
+      for (size_t i = 0; i < kInsertsPerRegion; ++i) {
+        inserts[r].push_back(in_region(r));
+        all.push_back(inserts[r].back());
+      }
+    }
+    std::atomic<int> failed{0};
+    std::vector<std::thread> clients;
+    for (size_t r = 0; r < kRegions; ++r) {
+      clients.emplace_back([&, r]() {
+        for (const KdPoint& p : inserts[r]) {
+          if (!(*tree)->Insert(p.coords, p.id).ok()) failed.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    ASSERT_EQ(failed.load(), 0);
+
+    // Before any search: a partition on another partition's node
+    // routes searches into the wrong arena.
+    std::vector<PartitionStats> stats = (*tree)->AllPartitionStats();
+    ASSERT_EQ(stats.size(), (*tree)->PartitionCount());
+    for (size_t i = 0; i < stats.size(); ++i) {
+      ASSERT_EQ(stats[i].id, static_cast<int32_t>(i));
+    }
+    ASSERT_TRUE((*tree)->CheckInvariants().ok());
+    LinearScanIndex scan(kDims);
+    for (const KdPoint& p : all) ASSERT_TRUE(scan.Insert(p.coords, p.id).ok());
+    for (int q = 0; q < 10; ++q) {
+      std::vector<double> query = {rng.UniformDouble(-0.5, 8.5),
+                                   rng.UniformDouble(-0.5, 1.5)};
+      auto knn = (*tree)->KnnSearch(query, 10);
+      ASSERT_TRUE(knn.ok());
+      EXPECT_EQ(*knn, scan.KnnSearch(query, 10));
+    }
   }
 }
 
