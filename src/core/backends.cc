@@ -20,8 +20,14 @@ Status CheckInsertable(const std::vector<double>& coords, size_t want) {
   return CheckFiniteCoords(coords);
 }
 
-// The metric trees report object indices (store slots); translate them
-// back to the PointIds the SpatialIndex contract promises, and restore
+// The metric trees index store slots. Their k-NN walks take the
+// slot-to-PointId map, so the top k keeps ties at the k-th distance by
+// PointId, as the SpatialIndex contract and LinearScanIndex do.
+ObjectIdFn SlotIds(const PointStore& store) {
+  return [&store](size_t obj) { return store.IdAt(PointStore::Slot(obj)); };
+}
+
+// Range hits come back as slots: translate them to PointIds and restore
 // the canonical ordering (slot-order ties may differ from id-order).
 std::vector<Neighbor> SlotsToIds(const PointStore& store,
                                  std::vector<Neighbor> hits) {
@@ -155,9 +161,8 @@ std::vector<Neighbor> VpTreeIndex::KnnSearch(
   EnsureBuilt();
   const VpTree* tree = built_tree();
   if (tree == nullptr) return {};
-  return SlotsToIds(store_,
-                    tree->KnnSearch(QueryOracle(metric(), store_, query),
-                                    k, budget, stats));
+  return tree->KnnSearch(QueryOracle(metric(), store_, query), k, budget,
+                         stats, SlotIds(store_));
 }
 
 std::vector<Neighbor> VpTreeIndex::RangeSearch(
@@ -266,9 +271,8 @@ std::vector<Neighbor> MTreeIndex::KnnSearch(
     const std::vector<double>& query, size_t k, const SearchBudget& budget,
     SearchStats* stats) const {
   if (query.size() != store_.dimensions() || !AllFinite(query)) return {};
-  return SlotsToIds(store_,
-                    tree_->KnnSearch(QueryOracle(metric(), store_, query),
-                                     k, budget, stats));
+  return tree_->KnnSearch(QueryOracle(metric(), store_, query), k, budget,
+                          stats, SlotIds(store_));
 }
 
 std::vector<Neighbor> MTreeIndex::RangeSearch(

@@ -41,8 +41,8 @@ struct BackendOptions {
   /// Distance function the index evaluates (core/kernels.h): L2
   /// (default), L1, or cosine (angular chord). The metric trees prune
   /// under any of the three (all satisfy the triangle inequality); the
-  /// KD-tree stays exact under cosine but loses its splitting-plane
-  /// pruning (see KdPlaneLowerBound).
+  /// KD-tree stays exact under cosine but loses its region-bound
+  /// pruning (see RegionLowerBound).
   Metric metric = Metric::kL2;
 
   /// How bulk builds cut nodes (core/split.h): median (default) or

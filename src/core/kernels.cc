@@ -5,7 +5,8 @@
 // equal the historical scalar EuclideanDistance bit for bit — forbids
 // fusing d*d + s into an FMA on targets that have one, because the
 // baseline scalar code (x86-64 SSE2) rounds the product and the sum
-// separately.
+// separately. RegionLowerBound's admissibility rests on the same
+// separately rounded operations.
 
 #include "core/kernels.h"
 
@@ -406,6 +407,21 @@ double MetricDistance(Metric metric, const double* a, const double* b,
       return CosineScalar(a, SquaredNorm(a, n), b, n);
   }
   return EuclideanDistance(a, b, n);
+}
+
+double RegionLowerBound(Metric metric, const double* gap, size_t dim) {
+  double sum = 0.0;
+  switch (metric) {
+    case Metric::kL2:
+      for (size_t i = 0; i < dim; ++i) sum += gap[i] * gap[i];
+      return std::sqrt(sum);
+    case Metric::kL1:
+      for (size_t i = 0; i < dim; ++i) sum += gap[i];
+      return sum;
+    case Metric::kCosine:
+      return 0.0;
+  }
+  return 0.0;
 }
 
 double SquaredNorm(const double* a, size_t n) {

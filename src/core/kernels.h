@@ -36,8 +36,8 @@
 //
 // All three metrics satisfy symmetry, zero self-distance and the
 // triangle inequality (cosine as chord), so every backend prunes
-// soundly under every metric — except that the KD-tree's splitting-
-// plane bound has no cosine analogue; see KdPlaneLowerBound.
+// soundly under every metric — except that the KD-style walks' region
+// bound has no cosine analogue; see RegionLowerBound.
 
 #ifndef SEMTREE_CORE_KERNELS_H_
 #define SEMTREE_CORE_KERNELS_H_
@@ -113,16 +113,23 @@ bool BatchKernelsUseSimd();
 /// on the stack.
 inline constexpr size_t kDistanceBatch = 64;
 
-/// Admissible lower bound on the distance from a query to anything
-/// beyond a KD-tree splitting plane, given `diff` = query[Sr] − Sv.
-/// |diff| bounds any single-coordinate gap from below for L2 and L1;
-/// the cosine chord distance has no per-coordinate bound (angles do
-/// not decompose over axes), so the far child inherits bound 0 — the
-/// search stays exact but degrades toward an exhaustive scan. Prefer
-/// the metric trees for cosine workloads.
-inline double KdPlaneLowerBound(Metric metric, double diff) {
-  return metric == Metric::kCosine ? 0.0 : std::fabs(diff);
-}
+/// Admissible lower bound on the distance from a query to anything in
+/// an axis-aligned region, given `gap[d]` = the query's distance to
+/// the region along dimension d (0 where the query lies inside the
+/// region's extent; a KD walk sets |query[Sr] − Sv| when it crosses a
+/// splitting plane, DESIGN.md §6):
+///  * kL2: the square root of the summed squared gaps;
+///  * kL1: the sum of the gaps;
+///  * kCosine: 0 — the chord distance does not decompose over axes
+///    (angles do not), so the search stays exact but degrades toward
+///    an exhaustive scan. Prefer the metric trees for cosine.
+/// The sums run in ascending dimension order, the scalar kernel's
+/// order, and every gap is at most the matching |query[d] − p[d]| of a
+/// point p in the region after rounding, so the bound never exceeds
+/// MetricDistance to such a point, bit for bit. Callers recompute it
+/// from the whole gap vector; a running sum that subtracts a replaced
+/// gap would lose that guarantee.
+double RegionLowerBound(Metric metric, const double* gap, size_t dim);
 
 /// Chunked driver for batched leaf/arena scans: gathers row pointers
 /// kDistanceBatch at a time into stack scratch, runs the batched

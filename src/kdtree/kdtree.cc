@@ -269,6 +269,57 @@ Result<KdTree> KdTree::BuildChain(size_t dimensions,
   return tree;
 }
 
+template <typename RelaxedLimitFn, typename ExactLimitFn, typename Sink>
+void KdTree::RegionWalk(const double* query, BudgetGauge* gauge,
+                        SearchStats* stats, RelaxedLimitFn relaxed_limit,
+                        ExactLimitFn exact_limit, Sink sink) const {
+  const Metric m = metric();
+  const size_t dim = dimensions_;
+  // A frontier handle indexes `pending`: the node and the first slot of
+  // its row in `gaps`, the query's per-dimension gap to the node's
+  // region (RegionLowerBound). The root's row is all zeros.
+  struct Pending {
+    int32_t node;
+    size_t row;
+  };
+  std::vector<Pending> pending = {{0, 0}};
+  std::vector<double> gaps(dim, 0.0);
+  BestFirstSearch(
+      0, gauge, relaxed_limit, exact_limit,
+      [&](int32_t handle, double bound, Frontier* frontier) {
+        const Pending at = pending[size_t(handle)];
+        const Node& n = nodes_[size_t(at.node)];
+        if (n.is_leaf) {
+          ++stats->leaves_visited;
+          // Batched leaf scan (core/kernels.h): the bulk charge grants
+          // exactly what a per-point loop would have computed, so
+          // budgeted results and stats match a scalar scan.
+          size_t granted = gauge->ChargeDistances(n.bucket.size());
+          BatchScan(
+              m, query, dim, granted,
+              [&](size_t j) { return store_.CoordsAt(n.bucket[j]); },
+              [&](size_t j, double d) { sink(store_.IdAt(n.bucket[j]), d); });
+          return;
+        }
+        // The near child's region gaps are its parent's, so it shares
+        // the row and the bound. The far child lies beyond the plane:
+        // its row is the parent's with gap[Sr] = |query[Sr] - Sv|, the
+        // backward-visit quantity of §III-B.3.
+        double diff = query[n.split_dim] - n.split_value;
+        int32_t near = (diff <= 0.0) ? n.left : n.right;
+        int32_t far = (diff <= 0.0) ? n.right : n.left;
+        pending.push_back(Pending{near, at.row});
+        frontier->Push(bound, int32_t(pending.size() - 1));
+        size_t row = gaps.size();
+        gaps.resize(row + dim);
+        std::copy_n(gaps.data() + at.row, dim, gaps.data() + row);
+        gaps[row + n.split_dim] = std::fabs(diff);
+        pending.push_back(Pending{far, row});
+        frontier->Push(RegionLowerBound(m, gaps.data() + row, dim),
+                       int32_t(pending.size() - 1));
+      });
+}
+
 std::vector<Neighbor> KdTree::KnnSearch(const std::vector<double>& query,
                                         size_t k,
                                         const SearchBudget& budget,
@@ -285,36 +336,10 @@ std::vector<Neighbor> KdTree::KnnSearch(const std::vector<double>& query,
   BudgetGauge gauge(budget, st);
   KnnAccumulator acc(k, size());
   double scale = budget.pruning_scale();
-  const Metric m = metric();
-  BestFirstSearch(
-      0, &gauge, [&] { return acc.tau() * scale; }, [&] { return acc.tau(); },
-      [&](int32_t nd, double bound, Frontier* frontier) {
-        const Node& n = nodes_[size_t(nd)];
-        if (n.is_leaf) {
-          ++st->leaves_visited;
-          // Batched leaf scan (core/kernels.h): the bulk charge grants
-          // exactly what a per-point loop would have computed, so
-          // budgeted results and stats are unchanged.
-          size_t granted = gauge.ChargeDistances(n.bucket.size());
-          BatchScan(
-              m, query.data(), dimensions_, granted,
-              [&](size_t j) { return store_.CoordsAt(n.bucket[j]); },
-              [&](size_t j, double d) {
-                acc.Offer(store_.IdAt(n.bucket[j]), d);
-              });
-          return;
-        }
-        // The near child inherits this region's bound; the far child's
-        // region lies beyond the splitting plane, so its distance is at
-        // least the plane gap (|query[Sr] - Sv| under L2/L1 — the
-        // backward-visit quantity of §III-B.3) as well as the
-        // inherited bound.
-        double diff = query[n.split_dim] - n.split_value;
-        int32_t near = (diff <= 0.0) ? n.left : n.right;
-        int32_t far = (diff <= 0.0) ? n.right : n.left;
-        frontier->Push(bound, near);
-        frontier->Push(std::max(bound, KdPlaneLowerBound(m, diff)), far);
-      });
+  RegionWalk(
+      query.data(), &gauge, st, [&] { return acc.tau() * scale; },
+      [&] { return acc.tau(); },
+      [&](PointId id, double d) { acc.Offer(id, d); });
   return acc.Take();
 }
 
@@ -333,32 +358,12 @@ std::vector<Neighbor> KdTree::RangeSearch(const std::vector<double>& query,
   SearchStats* st = stats ? stats : &local;
   BudgetGauge gauge(budget, st);
   double limit = radius * budget.pruning_scale();
-  const Metric m = metric();
-  BestFirstSearch(
-      0, &gauge, [&] { return limit; }, [&] { return radius; },
-      [&](int32_t nd, double bound, Frontier* frontier) {
-        const Node& n = nodes_[size_t(nd)];
-        if (n.is_leaf) {
-          ++st->leaves_visited;
-          size_t granted = gauge.ChargeDistances(n.bucket.size());
-          BatchScan(
-              m, query.data(), dimensions_, granted,
-              [&](size_t j) { return store_.CoordsAt(n.bucket[j]); },
-              [&](size_t j, double d) {
-                if (d <= radius) {
-                  out.push_back(Neighbor{store_.IdAt(n.bucket[j]), d});
-                }
-              });
-          return;
-        }
-        // |P[SI] - Sv| <= D admits both children (§III-B.4); the walker
-        // prunes the far child through its plane-gap bound.
-        double diff = query[n.split_dim] - n.split_value;
-        int32_t near = (diff <= 0.0) ? n.left : n.right;
-        int32_t far = (diff <= 0.0) ? n.right : n.left;
-        frontier->Push(bound, near);
-        frontier->Push(std::max(bound, KdPlaneLowerBound(m, diff)), far);
-      });
+  // A region within D of the query admits its children (§III-B.4 with
+  // the region bound in place of the single plane gap).
+  RegionWalk(query.data(), &gauge, st, [&] { return limit; },
+             [&] { return radius; }, [&](PointId id, double d) {
+               if (d <= radius) out.push_back(Neighbor{id, d});
+             });
   std::sort(out.begin(), out.end(), NeighborDistanceThenId);
   return out;
 }

@@ -33,15 +33,17 @@
 
 namespace semtree {
 
+class BudgetGauge;
+
 struct KdTreeOptions {
   /// Bucket capacity Bs of a leaf; exceeding it triggers a split.
   size_t bucket_size = 32;
 
   /// Distance function evaluated by searches (core/kernels.h). The
   /// splitting structure is coordinate-based and metric-independent;
-  /// only leaf distances and the far-child pruning bound change. For
-  /// kCosine the splitting-plane bound degenerates to 0 (searches stay
-  /// exact but approach an exhaustive scan; see KdPlaneLowerBound).
+  /// only leaf distances and the region lower bound change. For
+  /// kCosine the region bound degenerates to 0 (searches stay exact
+  /// but approach an exhaustive scan; see RegionLowerBound).
   Metric metric = Metric::kL2;
 
   /// How bulk builds cut nodes (core/split.h): the paper's median
@@ -189,6 +191,13 @@ class KdTree : public SpatialIndex {
   /// Appends `points` into the arena, returning their slots; fails on a
   /// dimensionality mismatch.
   Result<std::vector<Slot>> StoreAll(const std::vector<KdPoint>& points);
+  /// The best-first walk KnnSearch and RangeSearch share: children are
+  /// pushed with region lower bounds (DESIGN.md §6), and every point of
+  /// a leaf the walk scans goes to `sink(id, distance)`.
+  template <typename RelaxedLimitFn, typename ExactLimitFn, typename Sink>
+  void RegionWalk(const double* query, BudgetGauge* gauge,
+                  SearchStats* stats, RelaxedLimitFn relaxed_limit,
+                  ExactLimitFn exact_limit, Sink sink) const;
 
   size_t dimensions_;
   KdTreeOptions options_;

@@ -201,12 +201,14 @@ void MTree::SplitNode(int32_t node_index) {
 // Both searches run the shared budgeted best-first walker
 // (core/best_first.h) on covering-ball lower bounds: a routing entry
 // with pivot distance d and covering radius r cannot contain anything
-// closer than d - r (minus prune_slack for near-metric distances).
+// closer than d - r (minus prune_slack for near-metric distances and
+// BallRoundingSlack for rounding).
 
 std::vector<Neighbor> MTree::KnnSearch(const QueryDistanceFn& dq,
                                        size_t k,
                                        const SearchBudget& budget,
-                                       SearchStats* stats) const {
+                                       SearchStats* stats,
+                                       const ObjectIdFn& object_id) const {
   if (k == 0 || size_ == 0) return {};
   SearchStats local;
   SearchStats* st = stats ? stats : &local;
@@ -223,14 +225,16 @@ std::vector<Neighbor> MTree::KnnSearch(const QueryDistanceFn& dq,
           ++st->leaves_visited;
           for (const Entry& e : n.entries) {
             if (!gauge.ChargeDistance()) return;
-            acc.Offer(e.object, dq(e.object));
+            acc.Offer(object_id ? object_id(e.object) : e.object,
+                      dq(e.object));
           }
           return;
         }
         for (const Entry& e : n.entries) {
           if (!gauge.ChargeDistance()) return;
           double d = dq(e.object);
-          double dmin = std::max(0.0, d - e.radius - slack);
+          double dmin = std::max(
+              0.0, d - e.radius - slack - BallRoundingSlack(d, e.radius));
           frontier->Push(std::max(bound, dmin), d, e.child);
         }
       });
@@ -264,7 +268,8 @@ std::vector<Neighbor> MTree::RangeSearch(const QueryDistanceFn& dq,
         for (const Entry& e : n.entries) {
           if (!gauge.ChargeDistance()) return;
           double d = dq(e.object);
-          double dmin = std::max(0.0, d - e.radius - slack);
+          double dmin = std::max(
+              0.0, d - e.radius - slack - BallRoundingSlack(d, e.radius));
           frontier->Push(std::max(bound, dmin), d, e.child);
         }
       });

@@ -61,10 +61,14 @@ class MTree {
   /// ball lower bounds — it now runs on the shared budgeted walker
   /// (core/best_first.h), so exact budgets reproduce the classic
   /// result and spent budgets truncate (stats->truncated) having
-  /// visited the closest balls first.
+  /// visited the closest balls first. A hit's id is
+  /// `object_id(object)`, or the object index when it is empty; that
+  /// id also decides which of the objects tied at the k-th distance
+  /// are kept.
   std::vector<Neighbor> KnnSearch(const QueryDistanceFn& distance_to_query,
                                   size_t k, const SearchBudget& budget,
-                                  SearchStats* stats = nullptr) const;
+                                  SearchStats* stats = nullptr,
+                                  const ObjectIdFn& object_id = {}) const;
   std::vector<Neighbor> KnnSearch(const QueryDistanceFn& distance_to_query,
                                   size_t k,
                                   SearchStats* stats = nullptr) const {

@@ -178,14 +178,15 @@ void VpTree::BuildFromPlan(const VpPlanNode& root,
 // bounds: for a routing node with vantage distance d and threshold t,
 // anything inside the ball is at least d - t away and anything outside
 // at least t - d (triangle inequality; prune_slack widens both for
-// near-metric distances). Bounds are admissible, so exact budgets
-// reproduce the recursive traversal's results; spent budgets leave the
-// farthest balls unvisited.
+// near-metric distances, and BallRoundingSlack for rounding). Bounds
+// are admissible, so exact budgets reproduce the recursive traversal's
+// results; spent budgets leave the farthest balls unvisited.
 
 std::vector<Neighbor> VpTree::KnnSearch(const QueryDistanceFn& dq,
                                         size_t k,
                                         const SearchBudget& budget,
-                                        SearchStats* stats) const {
+                                        SearchStats* stats,
+                                        const ObjectIdFn& object_id) const {
   if (k == 0 || size_ == 0) return {};
   SearchStats local;
   SearchStats* st = stats ? stats : &local;
@@ -201,7 +202,7 @@ std::vector<Neighbor> VpTree::KnnSearch(const QueryDistanceFn& dq,
           ++st->leaves_visited;
           for (size_t object : n.bucket) {
             if (!gauge.ChargeDistance()) return;
-            acc.Offer(object, dq(object));
+            acc.Offer(object_id ? object_id(object) : object, dq(object));
           }
           return;
         }
@@ -211,10 +212,9 @@ std::vector<Neighbor> VpTree::KnnSearch(const QueryDistanceFn& dq,
         // navigation.
         if (!gauge.ChargeDistance()) return;
         double d = dq(n.vantage);
-        frontier->Push(std::max(bound, d - n.threshold - slack),
-                       n.inside);
-        frontier->Push(std::max(bound, n.threshold - d - slack),
-                       n.outside);
+        double s = slack + BallRoundingSlack(d, n.threshold);
+        frontier->Push(std::max(bound, d - n.threshold - s), n.inside);
+        frontier->Push(std::max(bound, n.threshold - d - s), n.outside);
       });
   return acc.Take();
 }
@@ -245,10 +245,9 @@ std::vector<Neighbor> VpTree::RangeSearch(const QueryDistanceFn& dq,
         }
         if (!gauge.ChargeDistance()) return;
         double d = dq(n.vantage);
-        frontier->Push(std::max(bound, d - n.threshold - slack),
-                       n.inside);
-        frontier->Push(std::max(bound, n.threshold - d - slack),
-                       n.outside);
+        double s = slack + BallRoundingSlack(d, n.threshold);
+        frontier->Push(std::max(bound, d - n.threshold - s), n.inside);
+        frontier->Push(std::max(bound, n.threshold - d - s), n.outside);
       });
   std::sort(out.begin(), out.end(), NeighborDistanceThenId);
   return out;

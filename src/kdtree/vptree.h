@@ -32,6 +32,21 @@ using MetricDistanceFn = std::function<double(size_t, size_t)>;
 /// Distance from the query object to an indexed object.
 using QueryDistanceFn = std::function<double(size_t)>;
 
+/// PointId of an indexed object (by index 0..n-1).
+using ObjectIdFn = std::function<PointId(size_t)>;
+
+/// Rounding allowance of the metric trees' ball bounds (DESIGN.md §6).
+/// A ball bound d(q, c) - r or r - d(q, c) subtracts two rounded
+/// distances; on collinear points it can exceed the rounded d(q, p) of
+/// a point on the ball's edge by an ulp, and so prune a point tied at
+/// the k-th distance or lying on the range radius. Widening the slack
+/// by 1e-12·(d(q, c) + r) keeps the bounds admissible for any oracle
+/// whose relative rounding error per distance stays below 2.5e-13; the
+/// L2 and L1 kernels do up to a thousand dimensions.
+inline double BallRoundingSlack(double d, double r) {
+  return 1e-12 * (d + r);
+}
+
 struct VpTreeOptions {
   /// Leaf bucket capacity.
   size_t bucket_size = 16;
@@ -67,10 +82,14 @@ class VpTree {
   /// leaf scans both count against the budget's distance cap. The
   /// traversal is a best-first walk over metric ball bounds
   /// (core/best_first.h); an exact budget reproduces textbook VP-tree
-  /// results, truncation is reported via `stats->truncated`.
+  /// results, truncation is reported via `stats->truncated`. A hit's
+  /// id is `object_id(object)`, or the object index when it is empty;
+  /// that id also decides which of the objects tied at the k-th
+  /// distance are kept.
   std::vector<Neighbor> KnnSearch(const QueryDistanceFn& distance_to_query,
                                   size_t k, const SearchBudget& budget,
-                                  SearchStats* stats = nullptr) const;
+                                  SearchStats* stats = nullptr,
+                                  const ObjectIdFn& object_id = {}) const;
   std::vector<Neighbor> KnnSearch(const QueryDistanceFn& distance_to_query,
                                   size_t k,
                                   SearchStats* stats = nullptr) const {

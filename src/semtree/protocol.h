@@ -102,6 +102,8 @@ struct TravelBudget {
 
 // Node status of the k-nearest traversal — Table I of the paper:
 // Not Visited (Nv), Left/Right (near side) Visited, All Visited (Av).
+// Only a Not Visited frame reads its node, so only it must run on the
+// partition hosting the node; the other two run wherever the item is.
 enum class VisitStatus : uint8_t {
   kNotVisited = 0,
   kNearVisited = 1,
@@ -110,18 +112,27 @@ enum class VisitStatus : uint8_t {
 
 // One pending node of a search: a frame of the k-NN forward/backward
 // visit (Table I), or a node a range search has still to expand (status
-// unused).
+// and the fields below unused).
+//
+// A k-NN routing frame is expanded on its host partition, which records
+// here what the rest of its visit needs: the far child, the split
+// dimension and the plane gap |P[Sr] - Sv|. The backward visit and the
+// pop then run on whichever partition holds the item (DESIGN.md §6).
 struct KnnFrame {
   int32_t partition = -1;
   int32_t node = -1;
   VisitStatus status = VisitStatus::kNotVisited;
+  uint32_t split_dim = 0;  // Sr.
+  ChildRef far = {};       // The child across the plane.
+  double gap = 0.0;        // |P[Sr] - Sv|.
+  double restore = 0.0;    // The item's gap[Sr] before the far side.
 };
 
 // The work item of the one search protocol (kSearchMsg). The whole
 // traversal state travels inside it, so any partition can continue it:
-//  * k-NN (§III-B.3): the item is *forwarded* to whichever partition
-//    hosts its top frame, like an insertion, and the partition where
-//    the stack drains answers the caller. No compute node blocks on
+//  * k-NN (§III-B.3): the item is *forwarded* only to a partition that
+//    must expand its top frame, like an insertion, and it answers the
+//    caller from wherever its stack drains. No compute node blocks on
 //    another, so concurrent queries pipeline.
 //  * Range (§III-B.4): the item walks one partition subtree. Each
 //    remote child it reaches is handed back in `remote`, and the caller
@@ -137,6 +148,10 @@ struct SearchItem {
   TravelBudget tb;              // Budget + spent counters, hop to hop.
   std::vector<Neighbor> rs;     // k-NN: max-heap Rs; range: members.
   std::vector<KnnFrame> stack;  // Pending nodes, root-side at the bottom.
+  // k-NN: the query's per-dimension gap to the region of the top
+  // frame's node (RegionLowerBound, core/kernels.h); all zero at the
+  // root. Empty for range items.
+  std::vector<double> gap;
   std::vector<ChildRef> remote;  // Range: subtrees for the caller.
   // Handler activations. Each was brought by one message, the request
   // or a forward, so the item cost this count plus its response.
@@ -245,9 +260,11 @@ struct InstallSplitResponse {
 inline size_t PointBytes(size_t dims) { return dims * sizeof(double) + 16; }
 
 // Approximate wire size of a search item, for its request, forwards
-// and response alike.
+// and response alike: the query and gap vectors, the result set, the
+// frames (an expanded k-NN frame carries its far child, split dimension
+// and gaps) and the handed-back subtrees.
 inline size_t SearchItemBytes(const SearchItem& item) {
-  return item.query.size() * sizeof(double) +
+  return (item.query.size() + item.gap.size()) * sizeof(double) +
          item.rs.size() * sizeof(Neighbor) +
          item.stack.size() * sizeof(KnnFrame) +
          item.remote.size() * sizeof(ChildRef) + 32;

@@ -25,17 +25,65 @@ using namespace protocol;  // NOLINT(build/namespaces)
 
 namespace {
 
-// One local step of a search item whose top frame `p` hosts (§III-B.3
-// and §III-B.4): the stale-frame guard, a leaf scan, then either the
-// Table-I status transition of a k-NN routing frame or the one-time
-// expansion of a range routing frame.
+// The k-NN steps of a frame its host has already expanded (Table I):
+// the backward visit of a near-visited frame, or the pop of an
+// all-visited one. Both use only what the frame and the item carry, so
+// they run on whichever partition holds the item.
+//
+// The backward visit enters the far child when the result set is not
+// full (|Rs| < K) or when the far region's lower bound — the metric
+// distance over the item's gap vector with gap[Sr] = |P[Sr] - Sv| —
+// times (1+eps) is at most max(Rs). That is §III-B.3's disjunction
+// with two deviations (DESIGN.md §6): the region bound is at least the
+// paper's plane gap, and `<=` instead of `<` also enters a far point
+// at exactly max(Rs), which the (distance, id) order of OfferTopK may
+// keep. The empty-heap guard also covers k == 0.
+void BackwardStep(SearchItem* item) {
+  std::vector<KnnFrame>& stack = item->stack;
+  KnnFrame& frame = stack.back();
+  double& gap = item->gap[frame.split_dim];
+  if (frame.status == VisitStatus::kAllVisited) {
+    gap = frame.restore;
+    stack.pop_back();
+    return;
+  }
+  const std::vector<Neighbor>& rs = item->rs;
+  const double restore = gap;
+  gap = frame.gap;
+  bool enter = rs.size() < item->k;
+  if (!enter && !rs.empty()) {
+    double bound =
+        RegionLowerBound(Metric::kL2, item->gap.data(), item->gap.size());
+    double worst = rs.front().distance;
+    enter = bound * (1.0 + item->tb.eps()) <= worst;
+    // Epsilon (not the geometry) pruned a subtree the exact condition
+    // would have entered: the result is approximate.
+    if (!enter && bound <= worst) item->tb.truncated = true;
+  }
+  if (enter) {
+    frame.status = VisitStatus::kAllVisited;
+    frame.restore = restore;
+    ChildRef far = frame.far;
+    stack.push_back(KnnFrame{far.partition, far.node});
+  } else {
+    gap = restore;
+    stack.pop_back();
+  }
+}
+
+// One step of a search item's top frame (§III-B.3 and §III-B.4). An
+// expanded k-NN frame takes a BackwardStep wherever the item is. Any
+// other frame runs on `p`, the partition hosting its node: the
+// stale-frame guard, a leaf scan, then either the forward visit of a
+// k-NN routing frame or the one-time expansion of a range routing
+// frame.
 //
 // `item->tb` meters the item's SearchBudget (flagging it truncated
 // when a cap runs out) and epsilon relaxes the pruning conditions —
-// |P[Sr] - Sv|·(1+eps) against max(Rs) for the k-NN backward visit, the
-// (1+ε)-approximate criterion, and against D for a range descent. With
-// an exact budget every charge succeeds and the relaxed conditions
-// equal the textbook ones, so the traversal is unchanged.
+// the region bound against max(Rs) for the k-NN backward visit, the
+// (1+eps)-approximate criterion, and |P[Sr] - Sv| against D for a range
+// descent. With an exact budget every charge succeeds and the relaxed
+// conditions equal the exact ones, so the traversal is unchanged.
 //
 // On exhaustion a k-NN item clears its stack: the traversal ends
 // wherever it is. A range item only drops the frame that failed, as
@@ -47,6 +95,10 @@ void SearchStep(Partition* p, SearchItem* item) {
   std::vector<KnnFrame>& stack = item->stack;
   TravelBudget& tb = item->tb;
   KnnFrame& frame = stack.back();
+  if (frame.status != VisitStatus::kNotVisited) {
+    BackwardStep(item);
+    return;
+  }
   auto exhausted = [&]() {
     if (item->type == QueryType::kKnn) {
       stack.clear();
@@ -98,6 +150,10 @@ void SearchStep(Partition* p, SearchItem* item) {
     }
     return;
   }
+  if (!tb.ChargeNode()) {
+    exhausted();
+    return;
+  }
   double diff = item->query[n.split_dim] - n.split_value;
   double adiff = std::fabs(diff);
   ChildRef near = (diff <= 0.0) ? n.left : n.right;
@@ -106,10 +162,6 @@ void SearchStep(Partition* p, SearchItem* item) {
     // Expand once: pop the routing frame and push every child the
     // radius condition |P[Sr] - Sv| <= D admits, the left one on top,
     // so the walk is depth-first, left side first.
-    if (!tb.ChargeNode()) {
-      exhausted();
-      return;
-    }
     ChildRef left = n.left;
     ChildRef right = n.right;
     stack.pop_back();
@@ -124,44 +176,13 @@ void SearchStep(Partition* p, SearchItem* item) {
     }
     return;
   }
-  switch (frame.status) {
-    case VisitStatus::kNotVisited:
-      if (!tb.ChargeNode()) {
-        exhausted();
-        return;
-      }
-      // Forward visit: descend the near side first.
-      frame.status = VisitStatus::kNearVisited;
-      stack.push_back(KnnFrame{near.partition, near.node});
-      break;
-    case VisitStatus::kNearVisited: {
-      // Backward visit: enter the unexplored subtree when the result
-      // set is not full (|Rs| < K) or the splitting plane is closer
-      // than the worst result (the disjunction of §III-B.3), the
-      // latter relaxed by epsilon. The empty-heap guard also covers
-      // k == 0.
-      const std::vector<Neighbor>& rs = item->rs;
-      bool full = rs.size() >= item->k;
-      bool enter_relaxed =
-          !full ||
-          (!rs.empty() && adiff * (1.0 + tb.eps()) < rs.front().distance);
-      if (enter_relaxed) {
-        frame.status = VisitStatus::kAllVisited;
-        stack.push_back(KnnFrame{far.partition, far.node});
-      } else {
-        // Epsilon (not the geometry) pruned a subtree the exact
-        // condition would have entered: the result is approximate.
-        if (!rs.empty() && adiff < rs.front().distance) {
-          tb.truncated = true;
-        }
-        stack.pop_back();
-      }
-      break;
-    }
-    case VisitStatus::kAllVisited:
-      stack.pop_back();
-      break;
-  }
+  // Forward visit: record what the backward visit needs, then descend
+  // the near side first.
+  frame.status = VisitStatus::kNearVisited;
+  frame.split_dim = n.split_dim;
+  frame.far = far;
+  frame.gap = adiff;
+  stack.push_back(KnnFrame{near.partition, near.node});
 }
 
 // A fresh item for query `q` that starts at node `start`, with an
@@ -175,6 +196,7 @@ Cluster::OutboundCall SearchCall(uint32_t slot, const SpatialQuery& q,
   item.k = q.k;
   item.radius = q.radius;
   item.tb.budget = q.budget;
+  if (q.type == QueryType::kKnn) item.gap.assign(q.coords.size(), 0.0);
   item.stack.push_back(KnnFrame{start.partition, start.node});
   size_t bytes = SearchItemBytes(item);
   return Cluster::OutboundCall{start.partition, kSearchMsg,
@@ -812,11 +834,13 @@ void SemTree::HandleSearch(Partition* p, const Message& msg) {
   ++item.partitions_visited;
   while (!item.stack.empty()) {
     const KnnFrame& top = item.stack.back();
-    if (top.partition == p->id()) {
+    if (top.partition == p->id() ||
+        top.status != VisitStatus::kNotVisited) {
       SearchStep(p, &item);
     } else if (item.type == QueryType::kKnn) {
-      // Forward the whole work item to the partition hosting the top
-      // frame, insertion-style; it (or a later hop) answers the caller.
+      // Only the host can expand the top frame: forward the whole work
+      // item there, insertion-style; it (or a later hop) answers the
+      // caller.
       cluster_->Forward(msg, top.partition, p->id());
       return;
     } else {
@@ -826,9 +850,9 @@ void SemTree::HandleSearch(Partition* p, const Message& msg) {
       item.stack.pop_back();
     }
   }
-  // The k-NN backward visit finished (at the root partition, since the
-  // bottom frame lives there), the range walk of this subtree did, or
-  // the budget ran out and cleared a k-NN stack wherever the walk was.
+  // The k-NN stack drained (wherever its last frames were popped), the
+  // range walk of this subtree did, or the budget ran out and cleared a
+  // k-NN stack wherever the walk was.
   cluster_->Respond(msg, msg.payload, SearchItemBytes(item));
 }
 

@@ -16,12 +16,18 @@
 //    routing, others store data.
 //  * K-nearest — forward navigation to a leaf, then a backward visit
 //    deciding for each node whether the unexplored subtree must be
-//    entered: |max(Rs) - P| > |P[Sr] - Sv| or |Rs| < K. The traversal
-//    state — the result set Rs, and per-node status S in
-//    {Not Visited, near-side Visited, All Visited} (Table I) — travels
-//    inside the work item, which is *forwarded* between partitions like
-//    an insertion; no compute node blocks on another, so concurrent
-//    queries pipeline across the cluster.
+//    entered: |max(Rs) - P| > |P[Sr] - Sv| or |Rs| < K. Two deviations
+//    (DESIGN.md §6): the plane gap is replaced by the region bound, the
+//    metric distance over the query's per-dimension gaps to the far
+//    region, which is never smaller; and the test is `<=`, so a far
+//    point at exactly max(Rs) that the (distance, id) order keeps is
+//    still offered. The traversal state — the result set Rs, the gap
+//    vector, and per-node status S in {Not Visited, near-side Visited,
+//    All Visited} (Table I) — travels inside the work item. The item is
+//    *forwarded* like an insertion, but only to a partition that must
+//    expand a node; backward visits run wherever the item is, and it
+//    answers from wherever its stack drains. No compute node blocks on
+//    another, so concurrent queries pipeline across the cluster.
 //  * Range — descends both children when |P[Sr] - Sv| <= D. A partition
 //    walks its local subtree and hands each remote child back to the
 //    caller, which runs those subqueries in parallel and merges the

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -19,6 +20,7 @@
 #include "core/point_block.h"
 #include "core/point_store.h"
 #include "core/spatial_index.h"
+#include "grid_ties.h"
 
 namespace semtree {
 namespace {
@@ -260,6 +262,39 @@ TEST_P(BackendEquivalenceTest, MatchesLinearScan) {
       for (size_t i = 0; i < want.size(); ++i) {
         EXPECT_EQ(got[i].id, want[i].id) << index->name();
         EXPECT_DOUBLE_EQ(got[i].distance, want[i].distance);
+      }
+    }
+  }
+}
+
+// On grid data (grid_ties.h) every backend must keep the points tied at
+// the k-th distance with the smallest PointIds, as the scan does. A
+// metric tree that broke those ties by store slot kept the
+// first-inserted points instead.
+TEST_P(BackendEquivalenceTest, GridTiesWithShuffledIdsMatchLinearScan) {
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const GridTies grid = MakeGridTies(seed);
+    BackendOptions opts;
+    opts.bucket_size = 2;
+    std::unique_ptr<SpatialIndex> index =
+        MakeSpatialIndex(GetParam(), grid.dims, opts);
+    auto gold = MakeSpatialIndex(BackendKind::kLinearScan, grid.dims);
+    for (const KdPoint& p : grid.points) {
+      ASSERT_TRUE(index->Insert(p.coords, p.id).ok());
+      ASSERT_TRUE(gold->Insert(p.coords, p.id).ok());
+    }
+    Rng rng(seed + 1000);
+    for (int q = 0; q < 20; ++q) {
+      std::vector<double> query = GridQuery(grid.dims, &rng);
+      for (size_t k = 1; k <= 5; ++k) {
+        EXPECT_EQ(index->KnnSearch(query, k), gold->KnnSearch(query, k))
+            << index->name() << " k=" << k;
+      }
+      for (double radius : {0.5, 1.0, 1.5}) {
+        EXPECT_EQ(index->RangeSearch(query, radius),
+                  gold->RangeSearch(query, radius))
+            << index->name() << " radius=" << radius;
       }
     }
   }

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/random.h"
+#include "grid_ties.h"
 #include "kdtree/kdtree.h"
 #include "kdtree/linear_scan.h"
 
@@ -206,6 +209,47 @@ TEST(KdTreeIncrementalTest, InterleavedInsertAndQuery) {
       for (double& c : q) c = rng.UniformDouble(-2.0, 2.0);
       EXPECT_EQ(tree.KnnSearch(q, 7), scan.KnnSearch(q, 7));
       EXPECT_TRUE(tree.CheckInvariants().ok());
+    }
+  }
+}
+
+// On grid data (grid_ties.h) the walk must reach every region whose
+// bound equals the k-th distance (the strict `bound > limit` stop) and
+// keep the tied points with the smallest ids, as the scan does, under
+// every metric.
+TEST(KdTreeGridTiesTest, EveryMetricMatchesLinearScan) {
+  for (Metric m : {Metric::kL2, Metric::kL1, Metric::kCosine}) {
+    for (uint64_t seed = 1; seed <= 30; ++seed) {
+      SCOPED_TRACE(std::string(MetricName(m)) + " seed " +
+                   std::to_string(seed));
+      const GridTies grid = MakeGridTies(seed);
+      KdTreeOptions opts;
+      opts.bucket_size = 2;
+      opts.metric = m;
+      KdTree dynamic(grid.dims, opts);
+      LinearScanIndex scan(grid.dims);
+      ASSERT_TRUE(scan.set_metric(m).ok());
+      for (const KdPoint& p : grid.points) {
+        ASSERT_TRUE(dynamic.Insert(p.coords, p.id).ok());
+        ASSERT_TRUE(scan.Insert(p.coords, p.id).ok());
+      }
+      auto balanced = KdTree::BulkLoadBalanced(grid.dims, grid.points, opts);
+      ASSERT_TRUE(balanced.ok());
+      Rng rng(seed + 1000);
+      for (int q = 0; q < 20; ++q) {
+        std::vector<double> query = GridQuery(grid.dims, &rng);
+        for (const KdTree* tree : {&dynamic, &*balanced}) {
+          for (size_t k = 1; k <= 5; ++k) {
+            EXPECT_EQ(tree->KnnSearch(query, k), scan.KnnSearch(query, k))
+                << "k=" << k;
+          }
+          for (double radius : {0.5, 1.0, 1.5, 2.0}) {
+            EXPECT_EQ(tree->RangeSearch(query, radius),
+                      scan.RangeSearch(query, radius))
+                << "radius=" << radius;
+          }
+        }
+      }
     }
   }
 }

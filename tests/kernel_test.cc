@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -196,6 +197,124 @@ TEST(BatchDistanceTest, BatchScanVisitsEveryRowInOrder) {
       });
   ASSERT_EQ(seen.size(), count);
   for (size_t j = 0; j < count; ++j) EXPECT_EQ(seen[j], j);
+}
+
+// ---------------------------------------------------------------------
+// Region lower bound (RegionLowerBound, DESIGN.md §6)
+
+// The query's gap to the box [lo, hi] along each axis, as a KD walk
+// computes it: |q[d] - plane| for the box face between the query and
+// the box, 0 where the query lies within the box's extent.
+std::vector<double> BoxGaps(const std::vector<double>& q,
+                            const std::vector<double>& lo,
+                            const std::vector<double>& hi) {
+  std::vector<double> gap(q.size(), 0.0);
+  for (size_t d = 0; d < q.size(); ++d) {
+    if (q[d] < lo[d]) gap[d] = std::fabs(q[d] - lo[d]);
+    if (q[d] > hi[d]) gap[d] = std::fabs(q[d] - hi[d]);
+  }
+  return gap;
+}
+
+// Checks the bound against points of the box: random interior points,
+// points with coordinates exactly on the faces, the corners, and the
+// box point nearest the query, which attains the bound bit for bit.
+// No tolerance anywhere: the leaf scans compare these very doubles.
+void ExpectAdmissible(Metric m, const std::vector<double>& q,
+                      const std::vector<double>& lo,
+                      const std::vector<double>& hi, Rng* rng) {
+  const size_t dim = q.size();
+  std::vector<double> gap = BoxGaps(q, lo, hi);
+  double bound = RegionLowerBound(m, gap.data(), dim);
+  std::vector<std::vector<double>> points;
+  for (int i = 0; i < 24; ++i) {
+    std::vector<double> p(dim);
+    for (size_t d = 0; d < dim; ++d) {
+      switch (rng->Uniform(3)) {
+        case 0:
+          p[d] = lo[d];
+          break;
+        case 1:
+          p[d] = hi[d];
+          break;
+        default:
+          p[d] = lo[d] + (hi[d] - lo[d]) * rng->UniformDouble(0.0, 1.0);
+          p[d] = std::min(std::max(p[d], lo[d]), hi[d]);
+      }
+    }
+    points.push_back(std::move(p));
+  }
+  std::vector<double> nearest(dim);
+  for (size_t d = 0; d < dim; ++d) {
+    nearest[d] = std::min(std::max(q[d], lo[d]), hi[d]);
+  }
+  EXPECT_TRUE(
+      SameBits(bound, MetricDistance(m, q.data(), nearest.data(), dim)))
+      << MetricName(m);
+  points.push_back(nearest);
+  std::vector<const double*> rows;
+  for (const auto& p : points) {
+    EXPECT_LE(bound, MetricDistance(m, q.data(), p.data(), dim))
+        << MetricName(m);
+    rows.push_back(p.data());
+  }
+  // The leaf scans use the batched kernels (SIMD for >= 8 rows).
+  std::vector<double> batched(rows.size());
+  BatchDistance(m, q.data(), dim, rows.data(), rows.size(), batched.data());
+  for (double d : batched) EXPECT_LE(bound, d) << MetricName(m);
+}
+
+TEST(RegionBoundTest, AdmissibleBitForBitOnRandomRegions) {
+  Rng rng(71);
+  for (double scale : {1.0, 1e150, -1e150}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      size_t dim = 1 + rng.Uniform(9);
+      std::vector<double> q(dim), lo(dim), hi(dim);
+      for (size_t d = 0; d < dim; ++d) {
+        double a = scale * rng.UniformDouble(-2.0, 2.0);
+        double b = scale * rng.UniformDouble(-2.0, 2.0);
+        lo[d] = std::min(a, b);
+        hi[d] = std::max(a, b);
+        // The query sits on a face now and then: a plane gap of 0.
+        switch (rng.Uniform(4)) {
+          case 0:
+            q[d] = lo[d];
+            break;
+          case 1:
+            q[d] = hi[d];
+            break;
+          default:
+            q[d] = scale * rng.UniformDouble(-3.0, 3.0);
+        }
+      }
+      for (Metric m : {Metric::kL2, Metric::kL1}) {
+        ExpectAdmissible(m, q, lo, hi, &rng);
+      }
+    }
+  }
+}
+
+TEST(RegionBoundTest, SignedZerosAndPlanesThroughZero) {
+  Rng rng(73);
+  // A query at -0.0 against planes at +0.0 (and the reverse) has gap 0
+  // on those axes; points on the planes carry either zero.
+  const std::vector<double> q = {-0.0, 0.0, -0.0, 1.5};
+  const std::vector<double> lo = {0.0, -1.0, -0.0, -0.0};
+  const std::vector<double> hi = {1.0, -0.0, 0.0, 1.0};
+  for (Metric m : {Metric::kL2, Metric::kL1}) {
+    std::vector<double> gap = BoxGaps(q, lo, hi);
+    EXPECT_EQ(gap, (std::vector<double>{0.0, 0.0, 0.0, 0.5}));
+    EXPECT_EQ(RegionLowerBound(m, gap.data(), gap.size()), 0.5);
+    ExpectAdmissible(m, q, lo, hi, &rng);
+  }
+}
+
+TEST(RegionBoundTest, CosineBoundIsZero) {
+  const std::vector<double> gap = {3.0, 4.0, 1e150};
+  EXPECT_EQ(RegionLowerBound(Metric::kCosine, gap.data(), gap.size()), 0.0);
+  EXPECT_EQ(RegionLowerBound(Metric::kL2, gap.data(), 2), 5.0);
+  EXPECT_EQ(RegionLowerBound(Metric::kL1, gap.data(), 2), 7.0);
+  EXPECT_EQ(RegionLowerBound(Metric::kL2, gap.data(), 0), 0.0);
 }
 
 // ---------------------------------------------------------------------

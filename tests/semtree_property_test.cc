@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/random.h"
+#include "grid_ties.h"
 #include "kdtree/linear_scan.h"
 #include "semtree/semtree.h"
 
@@ -121,6 +124,48 @@ INSTANTIATE_TEST_SUITE_P(
         DistCase{400, 4, 8, 5, 60, 4, 30, 8},
         DistCase{400, 2, 4, 3, 50, 2, 100, 9}),
     CaseName);
+
+// On grid data (grid_ties.h) the exact walks must keep the points tied
+// at the k-th distance with the smallest ids, as the scan does. A
+// backward visit that entered a far subtree only when its bound was
+// strictly below max(Rs) never offered a far point at exactly max(Rs)
+// with a smaller id.
+TEST(SemTreeGridTiesTest, ExactSearchesMatchLinearScan) {
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    for (size_t partitions : {size_t(1), size_t(4)}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " partitions " +
+                   std::to_string(partitions));
+      const GridTies grid = MakeGridTies(seed);
+      SemTreeOptions opts;
+      opts.dimensions = grid.dims;
+      opts.bucket_size = 2;
+      opts.max_partitions = partitions;
+      opts.partition_capacity = 8;
+      auto tree = SemTree::Create(opts);
+      ASSERT_TRUE(tree.ok());
+      LinearScanIndex scan(grid.dims);
+      for (const KdPoint& p : grid.points) {
+        ASSERT_TRUE((*tree)->Insert(p.coords, p.id).ok());
+        ASSERT_TRUE(scan.Insert(p.coords, p.id).ok());
+      }
+      Rng rng(seed + 1000);
+      for (int q = 0; q < 20; ++q) {
+        std::vector<double> query = GridQuery(grid.dims, &rng);
+        for (size_t k = 1; k <= 5; ++k) {
+          auto got = (*tree)->KnnSearch(query, k);
+          ASSERT_TRUE(got.ok());
+          EXPECT_EQ(*got, scan.KnnSearch(query, k)) << "k=" << k;
+        }
+        for (double radius : {0.5, 1.0, 1.5}) {
+          auto got = (*tree)->RangeSearch(query, radius);
+          ASSERT_TRUE(got.ok());
+          EXPECT_EQ(*got, scan.RangeSearch(query, radius))
+              << "radius=" << radius;
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace semtree

@@ -241,6 +241,36 @@ TEST(SemTreeTest, DistributedQueriesCrossPartitions) {
   EXPECT_GT(rstats.partitions_visited, 1u);
 }
 
+// A k = 1 query at a stored point finds it at distance 0 in the first
+// leaf it reaches. Bulk-load split values are midpoints between distinct
+// coordinates, so no stored point lies on a splitting plane: every far
+// region's bound is positive, each backward visit pops where the item
+// is, and the stack drains in the region's partition. That costs the
+// request, one forward from the skeleton's partition and the response;
+// sending the item back for the skeleton's backward visits cost a
+// fourth message and a third partition visit.
+TEST(SemTreeTest, KnnAtStoredPointAnswersFromItsPartition) {
+  SemTreeOptions opts;
+  opts.dimensions = 4;
+  opts.max_partitions = 9;
+  auto tree = SemTree::Create(opts);
+  ASSERT_TRUE(tree.ok());
+  auto points = RandomPoints(20000, 4, 41);
+  ASSERT_TRUE((*tree)->BulkLoadBalanced(points).ok());
+  ASSERT_EQ((*tree)->PartitionCount(), 9u);
+  Rng rng(43);
+  for (int q = 0; q < 200; ++q) {
+    const KdPoint& p = points[rng.Uniform(points.size())];
+    DistributedSearchStats stats;
+    auto hits = (*tree)->KnnSearch(p.coords, 1, &stats);
+    ASSERT_TRUE(hits.ok());
+    ASSERT_EQ(hits->size(), 1u);
+    EXPECT_EQ((*hits)[0].id, p.id);
+    EXPECT_EQ(stats.messages, 3u) << "query " << q;
+    EXPECT_EQ(stats.partitions_visited, 2u) << "query " << q;
+  }
+}
+
 TEST(SemTreeTest, PerQueryMessageCountsIgnoreOtherClients) {
   SemTreeOptions opts;
   opts.dimensions = 2;
