@@ -44,12 +44,14 @@ Workload MakeWorkload(size_t n, uint64_t seed, size_t fastmap_dims) {
   FastMapOptions fopts;
   fopts.dimensions = fastmap_dims;
   fopts.seed = seed;
+  // On every hardware thread: the embedding is bit-identical to a
+  // serial training's.
   auto fm = FastMap::Train(
       w.triples.size(),
       [&](size_t i, size_t j) {
         return (*w.distance)(prepared[i], prepared[j]);
       },
-      fopts);
+      fopts, /*threads=*/0);
   if (!fm.ok()) std::abort();
   w.fastmap = std::make_unique<FastMap>(std::move(*fm));
 

@@ -108,15 +108,16 @@ void TaskGroup::Run(std::function<void()> fn) {
   // Shared ownership so the task survives whichever path runs it: the
   // enqueued wrapper, or the inline fallback when the pool refused it.
   auto task = std::make_shared<std::function<void()>>(std::move(fn));
-  // The wrapper decrements under the group mutex, so a Wait that saw
-  // pending_ > 0 is guaranteed a wake-up for this completion.
+  // The wrapper decrements and notifies under the group mutex, so a
+  // Wait that saw pending_ > 0 is guaranteed a wake-up for this
+  // completion. Notifying after the unlock would race with the group's
+  // destruction: Wait may return, and the group go out of scope, as
+  // soon as the last decrement is visible.
   bool queued = pool_->TrySubmit([this, task]() {
     (*task)();
-    {
-      MutexLock lock(mu_);
-      --pending_;
-      ++completions_;
-    }
+    MutexLock lock(mu_);
+    --pending_;
+    ++completions_;
     cv_.NotifyAll();
   });
   if (!queued) {

@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
+#include "core/bulk_build.h"
 #include "core/distance.h"
 #include "core/kernels.h"
 
@@ -13,15 +17,23 @@ namespace semtree {
 
 namespace {
 constexpr double kDegenerateEps = 1e-12;
-}  // namespace
 
-double FastMap::ResidualSquared(const IndexDistanceFn& distance,
-                                size_t axis, size_t i, size_t j) const {
+// Chunks per thread of a parallel residual row: a few per thread, so a
+// chunk of slow oracle calls does not leave the others idle.
+constexpr size_t kRowChunksPerThread = 4;
+
+// Squared residual distance at `axis` between training objects `i`
+// and `j`: the oracle's d(i, j)² minus the coordinates already fixed
+// on axes 0..axis-1.
+double ResidualSquared(const IndexDistanceFn& distance, const FastMap& fm,
+                       size_t axis, size_t i, size_t j) {
   if (i == j) return 0.0;
   double d = distance(i, j);
   double d2 = d * d;
+  const double* xi = fm.CoordsRow(i);
+  const double* xj = fm.CoordsRow(j);
   for (size_t l = 0; l < axis; ++l) {
-    double diff = AtConst(i, l) - AtConst(j, l);
+    double diff = xi[l] - xj[l];
     d2 -= diff * diff;
   }
   // Triangle-inequality violations in the original distance can push
@@ -29,8 +41,57 @@ double FastMap::ResidualSquared(const IndexDistanceFn& distance,
   return std::max(0.0, d2);
 }
 
+// The residual row r²(object, ·) of one axis and its first argmax.
+struct PivotRow {
+  size_t object = SIZE_MAX;  // SIZE_MAX: the slot is empty.
+  std::vector<double> r2;
+  size_t farthest = 0;
+  double best = -1.0;
+};
+
+// Computes `row` for `object` at `axis`: the oracle calls split into
+// contiguous chunks on `pool` (null = serial), then one serial scan
+// for the argmax, so ties go to the smallest index whatever the
+// chunking.
+void FillRow(const IndexDistanceFn& distance, const FastMap& fm,
+             size_t axis, size_t object, ThreadPool* pool, PivotRow* row) {
+  const size_t n = fm.size();
+  row->object = object;
+  row->r2.resize(n);
+  double* r2 = row->r2.data();
+  auto fill = [&distance, &fm, axis, object, r2](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      r2[i] = ResidualSquared(distance, fm, axis, object, i);
+    }
+  };
+  if (pool == nullptr) {
+    fill(0, n);
+  } else {
+    // The caller is one of the threads: TaskGroup::Wait runs queued
+    // chunks on it.
+    const size_t chunks = (pool->num_threads() + 1) * kRowChunksPerThread;
+    TaskGroup group(pool);
+    for (size_t c = 0; c < chunks; ++c) {
+      const size_t lo = n * c / chunks;
+      const size_t hi = n * (c + 1) / chunks;
+      group.Run([&fill, lo, hi]() { fill(lo, hi); });
+    }
+    group.Wait();
+  }
+  row->farthest = object;
+  row->best = -1.0;
+  for (size_t i = 0; i < n; ++i) {
+    if (r2[i] > row->best) {
+      row->best = r2[i];
+      row->farthest = i;
+    }
+  }
+}
+}  // namespace
+
 Result<FastMap> FastMap::Train(size_t n, const IndexDistanceFn& distance,
-                               const FastMapOptions& options) {
+                               const FastMapOptions& options,
+                               size_t threads) {
   if (n == 0) return Status::InvalidArgument("cannot embed zero objects");
   if (options.dimensions == 0) {
     return Status::InvalidArgument("dimensions must be positive");
@@ -40,26 +101,42 @@ Result<FastMap> FastMap::Train(size_t n, const IndexDistanceFn& distance,
   }
   FastMap fm(n, options.dimensions);
   Rng rng(options.seed);
+  threads = ResolveBuildThreads(threads);
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1 && n >= kParallelCutoff) {
+    pool = std::make_unique<ThreadPool>(threads - 1);
+  }
+
+  // The two most recently used rows of the current axis. The pivot
+  // walk revisits an object only in a closing two-cycle, and the
+  // projection needs the last two rows, so no row is computed twice
+  // (DESIGN.md §13). A miss refills the slot not used last.
+  PivotRow slots[2];
+  size_t recent = 0;
+  auto row_of = [&](size_t axis, size_t object) -> const PivotRow& {
+    if (slots[recent].object != object) {
+      recent = 1 - recent;
+      if (slots[recent].object != object) {
+        FillRow(distance, fm, axis, object, pool.get(), &slots[recent]);
+      }
+    }
+    return slots[recent];
+  };
 
   for (size_t axis = 0; axis < options.dimensions; ++axis) {
+    // Residuals subtract the coordinates of earlier axes: a new axis
+    // starts with empty slots.
+    slots[0].object = slots[1].object = SIZE_MAX;
     // Farthest-pair heuristic on the residual distance of this axis.
     size_t b = rng.Uniform(n);
     size_t a = b;
     double dab2 = 0.0;
     for (size_t iter = 0; iter < std::max<size_t>(1, options.pivot_iterations);
          ++iter) {
-      size_t farthest = b;
-      double best = -1.0;
-      for (size_t i = 0; i < n; ++i) {
-        double r2 = fm.ResidualSquared(distance, axis, b, i);
-        if (r2 > best) {
-          best = r2;
-          farthest = i;
-        }
-      }
+      const PivotRow& row = row_of(axis, b);
       a = b;
-      b = farthest;
-      dab2 = best;
+      b = row.farthest;
+      dab2 = row.best;
       if (dab2 <= kDegenerateEps) break;
     }
     if (dab2 <= kDegenerateEps) {
@@ -68,10 +145,11 @@ Result<FastMap> FastMap::Train(size_t n, const IndexDistanceFn& distance,
       break;
     }
     double dab = std::sqrt(dab2);
+    // a's row is the most recent, so fetching b never evicts it.
+    const PivotRow& ra = row_of(axis, a);
+    const PivotRow& rb = row_of(axis, b);
     for (size_t i = 0; i < n; ++i) {
-      double dai2 = fm.ResidualSquared(distance, axis, a, i);
-      double dbi2 = fm.ResidualSquared(distance, axis, b, i);
-      fm.At(i, axis) = (dai2 + dab2 - dbi2) / (2.0 * dab);
+      fm.At(i, axis) = (ra.r2[i] + dab2 - rb.r2[i]) / (2.0 * dab);
     }
     fm.pivots_.emplace_back(a, b);
     fm.pivot_distances_.push_back(dab);

@@ -23,7 +23,8 @@
 
 namespace semtree {
 
-/// Distance oracle over the training objects.
+/// Distance oracle over the training objects. FastMap::Train with more
+/// than one thread calls it from several threads at once.
 using IndexDistanceFn = std::function<double(size_t, size_t)>;
 
 struct FastMapOptions {
@@ -49,8 +50,22 @@ class FastMap {
   /// dimensions == 0. The oracle must be symmetric with zero
   /// self-distance; mild triangle violations are tolerated (residuals
   /// are clamped at zero, as in the original algorithm).
+  ///
+  /// Cost: per axis, (distinct pivot rows) x (n - 1) oracle calls. A
+  /// row is computed once for each distinct object of the farthest-pair
+  /// walk, and once more for the final pivot b if the walk did not
+  /// visit it; the projection reuses both pivots' rows. That is at most
+  /// max(1, pivot_iterations) + 1 rows, and fewer when the walk ends in
+  /// a two-cycle (DESIGN.md §13).
+  ///
+  /// `threads`: 1 = serial, 0 = one per hardware thread, n = exactly n.
+  /// Above one thread, and for n >= kParallelCutoff, each row's calls
+  /// are split across a pool, so the oracle must then be safe to call
+  /// from several threads at once. Every value gives bit-identical
+  /// coordinates, pivots and pivot distances.
   static Result<FastMap> Train(size_t n, const IndexDistanceFn& distance,
-                               const FastMapOptions& options);
+                               const FastMapOptions& options,
+                               size_t threads = 1);
 
   /// Number of embedded objects.
   size_t size() const { return n_; }
@@ -126,10 +141,6 @@ class FastMap {
   double AtConst(size_t i, size_t axis) const {
     return coords_[i * dimensions_ + axis];
   }
-
-  /// Squared residual distance at `axis` between training objects.
-  double ResidualSquared(const IndexDistanceFn& distance, size_t axis,
-                         size_t i, size_t j) const;
 
   size_t n_;
   size_t dimensions_;

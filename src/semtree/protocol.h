@@ -261,12 +261,16 @@ inline size_t PointBytes(size_t dims) { return dims * sizeof(double) + 16; }
 
 // Approximate wire size of a search item, for its request, forwards
 // and response alike: the query and gap vectors, the result set, the
-// frames (an expanded k-NN frame carries its far child, split dimension
-// and gaps) and the handed-back subtrees.
+// frames and the handed-back subtrees. A range frame carries only its
+// partition and node; a k-NN frame also carries its status, split
+// dimension, far child and gaps.
 inline size_t SearchItemBytes(const SearchItem& item) {
+  const size_t frame_bytes = item.type == QueryType::kKnn
+                                 ? sizeof(KnnFrame)
+                                 : 2 * sizeof(int32_t);
   return (item.query.size() + item.gap.size()) * sizeof(double) +
          item.rs.size() * sizeof(Neighbor) +
-         item.stack.size() * sizeof(KnnFrame) +
+         item.stack.size() * frame_bytes +
          item.remote.size() * sizeof(ChildRef) + 32;
 }
 

@@ -20,7 +20,9 @@ Result<std::unique_ptr<SemanticIndex>> SemanticIndex::Build(
       options, std::move(distance), std::move(corpus)));
   const std::vector<Triple>& triples = index->corpus_;
 
-  // Train the FastMap embedding on the corpus, resolved once.
+  // Train the FastMap embedding on the corpus, resolved once, over the
+  // build threads: Eq. (1) on prepared triples is safe to call from
+  // several threads (DESIGN.md §13, "Thread contract").
   const TripleDistance& distance_fn = index->distance_;
   std::vector<PreparedTriple> prepared;
   prepared.reserve(triples.size());
@@ -32,7 +34,7 @@ Result<std::unique_ptr<SemanticIndex>> SemanticIndex::Build(
           [&distance_fn, &prepared](size_t i, size_t j) {
             return distance_fn(prepared[i], prepared[j]);
           },
-          options.fastmap));
+          options.fastmap, options.build_threads));
   index->SetFastMap(std::move(fm));
   SEMTREE_RETURN_NOT_OK(index->BuildTree());
   return index;

@@ -59,10 +59,11 @@ struct SemanticIndexOptions {
   /// is set.
   SplitPolicy split_policy = SplitPolicy::kMedian;
 
-  /// Worker threads for each partition's local balanced build
-  /// (SemTreeOptions::build_threads): 1 = serial, 0 = one per hardware
-  /// thread. Byte-identical trees across all values.
-  size_t build_threads = 1;
+  /// Worker threads for FastMap training (FastMap::Train) and for each
+  /// partition's local balanced build (SemTreeOptions::build_threads):
+  /// 1 = serial, 0 = one per hardware thread (the default). Every value
+  /// builds the same bytes: embedding, tree and snapshot.
+  size_t build_threads = 0;
 
   /// Order hits by true semantic distance instead of embedded distance.
   bool rerank_by_semantic_distance = false;

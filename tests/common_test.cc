@@ -463,6 +463,31 @@ TEST(TaskGroupTest, WaitFromInsidePoolTaskDrainsByStealing) {
   EXPECT_EQ(outer.get(), 16);
 }
 
+TEST(TaskGroupTest, GroupMayBeDestroyedAsSoonAsWaitReturns) {
+  // Regression: a finished task used to notify the group's condition
+  // variable after releasing the group's mutex. A Wait woken by an
+  // earlier completion could then return, and the next round's group
+  // be built at the same address, under that notify: a crash or a
+  // hang. FastMap training builds one group per pivot row.
+  ThreadPool pool(3);
+  std::atomic<long> sum{0};
+  for (int round = 0; round < 20000; ++round) {
+    TaskGroup group(&pool);
+    for (int t = 0; t < 4; ++t) {
+      group.Run([&sum]() {
+        volatile long work = 0;  // Keeps the busy loop from folding.
+        for (int i = 0; i < 5000; ++i) work = work + i;
+        sum.fetch_add(work, std::memory_order_relaxed);
+      });
+    }
+    // Let the workers take every task, so Wait sleeps and is woken by
+    // a completion while the others are still finishing.
+    std::this_thread::yield();
+    group.Wait();
+  }
+  EXPECT_EQ(sum.load(), 20000L * 4 * (4999L * 5000 / 2));
+}
+
 TEST(TaskGroupTest, FallsBackInlineWhenPoolShutDown) {
   ThreadPool pool(2);
   pool.Shutdown();

@@ -2,9 +2,12 @@
 //
 // Tests for src/fastmap. Strategy: (a) exact recovery properties on
 // genuinely Euclidean inputs, (b) behavioural properties (pivot spread,
-// query projection consistency) on the semantic triple distance.
+// query projection consistency) on the semantic triple distance, (c)
+// training cost and bit-identity across thread counts.
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -186,6 +189,171 @@ TEST(FastMapTest, PivotsAreDistinctPerAxis) {
                            opts);
   ASSERT_TRUE(fm.ok());
   for (auto [a, b] : fm->pivots()) EXPECT_NE(a, b);
+}
+
+// ---------------------------------------------------------------------
+// Training cost and thread counts. The hashes were captured before
+// training kept its pivot rows or ran on more than one thread.
+
+// FNV-1a over coordinates, pivot pairs and pivot distances, as
+// embedding_golden_test computes it.
+uint64_t Fnv1a(const void* data, size_t size, uint64_t h) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+uint64_t EmbeddingHash(const FastMap& fm) {
+  const std::vector<double>& coords = fm.flat_coordinates();
+  uint64_t h = Fnv1a(coords.data(), coords.size() * sizeof(double),
+                     14695981039346656037ull);
+  for (const auto& [a, b] : fm.pivots()) {
+    const uint64_t pair[2] = {a, b};
+    h = Fnv1a(pair, sizeof(pair), h);
+  }
+  const std::vector<double>& dists = fm.pivot_distances();
+  return Fnv1a(dists.data(), dists.size() * sizeof(double), h);
+}
+
+void ExpectSameBytes(const FastMap& want, const FastMap& got) {
+  ASSERT_EQ(want.flat_coordinates().size(), got.flat_coordinates().size());
+  EXPECT_EQ(std::memcmp(want.flat_coordinates().data(),
+                        got.flat_coordinates().data(),
+                        want.flat_coordinates().size() * sizeof(double)),
+            0);
+  EXPECT_EQ(want.pivots(), got.pivots());
+  ASSERT_EQ(want.pivot_distances().size(), got.pivot_distances().size());
+  EXPECT_EQ(std::memcmp(want.pivot_distances().data(),
+                        got.pivot_distances().data(),
+                        want.pivot_distances().size() * sizeof(double)),
+            0);
+}
+
+// Trains at each thread count (5,000 objects: above kParallelCutoff,
+// and uneven chunks at 3 threads) and holds every result to the serial
+// bytes and to `golden`.
+void ExpectBitIdenticalAcrossThreads(size_t n, const IndexDistanceFn& d,
+                                     const FastMapOptions& opts,
+                                     uint64_t golden) {
+  auto serial = FastMap::Train(n, d, opts, 1);
+  ASSERT_TRUE(serial.ok());
+  EXPECT_EQ(EmbeddingHash(*serial), golden);
+  for (size_t threads : {2u, 3u, 8u, 0u}) {
+    SCOPED_TRACE(threads);
+    auto parallel = FastMap::Train(n, d, opts, threads);
+    ASSERT_TRUE(parallel.ok());
+    ExpectSameBytes(*serial, *parallel);
+  }
+}
+
+TEST(FastMapThreadsTest, EuclideanIsBitIdenticalAcrossThreadCounts) {
+  EuclideanOracle oracle(5000, 6, 37);
+  FastMapOptions opts;
+  opts.dimensions = 4;
+  ExpectBitIdenticalAcrossThreads(
+      oracle.size(), [&](size_t i, size_t j) { return oracle(i, j); }, opts,
+      2360204708055965803ull);
+}
+
+TEST(FastMapThreadsTest, TriplesAreBitIdenticalAcrossThreadCounts) {
+  Taxonomy vocab = RequirementsVocabulary();
+  CorpusOptions copts;
+  copts.num_documents = 120;
+  copts.min_requirements_per_doc = 40;
+  copts.max_requirements_per_doc = 60;
+  copts.num_actors = 100;
+  copts.seed = 17;
+  RequirementsCorpusGenerator gen(&vocab, copts);
+  auto triples = gen.GenerateTriples();
+  ASSERT_TRUE(triples.ok());
+  ASSERT_GE(triples->size(), 5000u);
+  triples->resize(5000);
+  auto distance = TripleDistance::Make(&vocab);
+  ASSERT_TRUE(distance.ok());
+  std::vector<PreparedTriple> prepared;
+  for (const Triple& t : *triples) prepared.push_back(distance->Prepare(t));
+  FastMapOptions opts;
+  opts.dimensions = 8;
+  opts.seed = 5;
+  ExpectBitIdenticalAcrossThreads(
+      prepared.size(),
+      [&](size_t i, size_t j) { return (*distance)(prepared[i], prepared[j]); },
+      opts, 13238847268395094972ull);
+}
+
+TEST(FastMapThreadsTest, TiesGoToTheSmallestIndex) {
+  // Every residual of the first row ties, so the walk goes to index 0
+  // (or 1 from 0) whatever the chunking.
+  IndexDistanceFn d = [](size_t i, size_t j) { return i == j ? 0.0 : 1.0; };
+  FastMapOptions opts;
+  opts.dimensions = 3;
+  ExpectBitIdenticalAcrossThreads(5000, d, opts, 12814665615878854116ull);
+  auto fm = FastMap::Train(5000, d, opts, 4);
+  ASSERT_TRUE(fm.ok());
+  auto [a, b] = fm->pivots()[0];
+  EXPECT_EQ(std::min(a, b), 0u);
+  EXPECT_EQ(std::max(a, b), 1u);
+}
+
+TEST(FastMapThreadsTest, EachDistinctPivotRowIsComputedOnce) {
+  // Points on a line, starting inside it: the walk visits the start,
+  // then the two endpoints, and closes a two-cycle between them. So 3
+  // distinct rows, where recomputing every row would make 5 + 2.
+  const size_t n = 5000;
+  FastMapOptions opts;
+  opts.dimensions = 1;
+  Rng rng(opts.seed);
+  const size_t start = rng.Uniform(n);
+  ASSERT_NE(start, 0u);
+  ASSERT_NE(start, n - 1);
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::atomic<size_t> calls{0};
+    auto fm = FastMap::Train(
+        n,
+        [&calls](size_t i, size_t j) {
+          calls.fetch_add(1, std::memory_order_relaxed);
+          return std::fabs(static_cast<double>(i) - static_cast<double>(j));
+        },
+        opts, threads);
+    ASSERT_TRUE(fm.ok());
+    EXPECT_EQ(calls.load(), 3 * (n - 1));
+    auto [a, b] = fm->pivots()[0];
+    EXPECT_EQ(std::min(a, b), 0u);
+    EXPECT_EQ(std::max(a, b), n - 1);
+  }
+}
+
+TEST(FastMapThreadsTest, AsymmetricOracleGetsTheSameAnswer) {
+  // d(i, j) is large only from residue class i mod 3 to the next, so
+  // the walk visits the start, then objects 1, 2, 0 and 1 again: a
+  // three-cycle that comes back to a row the two kept rows no longer
+  // hold. That row, and the projection's b, are computed again, the
+  // same way: 6 rows where recomputing every row makes 7, and the
+  // same embedding.
+  const size_t n = 4500;
+  FastMapOptions opts;
+  opts.dimensions = 1;
+  Rng rng(opts.seed);
+  ASSERT_GE(rng.Uniform(n), 3u);
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::atomic<size_t> calls{0};
+    auto fm = FastMap::Train(
+        n,
+        [&calls](size_t i, size_t j) {
+          calls.fetch_add(1, std::memory_order_relaxed);
+          if (i == j) return 0.0;
+          return j % 3 == (i + 1) % 3 ? 2.0 : 1.0;
+        },
+        opts, threads);
+    ASSERT_TRUE(fm.ok());
+    EXPECT_EQ(calls.load(), 6 * (n - 1));
+    EXPECT_EQ(EmbeddingHash(*fm), 15736059129400978383ull);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -4,10 +4,13 @@
 // extreme weights, determinism of query embedding, and option
 // interplay (bulk load + persistence, distributed + rerank).
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "nlp/requirements_corpus.h"
 #include "ontology/requirements_vocabulary.h"
+#include "persist/wire.h"
 #include "semtree/index_io.h"
 #include "semtree/semantic_index.h"
 
@@ -165,6 +168,60 @@ TEST_F(SemanticIndexEdgeTest, HitsExposeBothDistances) {
   for (size_t i = 1; i < hits->size(); ++i) {
     EXPECT_GE((*hits)[i].embedded_distance,
               (*hits)[i - 1].embedded_distance - 1e-12);
+  }
+}
+
+TEST_F(SemanticIndexEdgeTest, BuildThreadsBuildTheSameBytes) {
+  // 5,000 triples: above kParallelCutoff, so training and the tree's
+  // bulk load both run on the pool at 4 threads.
+  CorpusOptions copts;
+  copts.num_documents = 120;
+  copts.min_requirements_per_doc = 40;
+  copts.max_requirements_per_doc = 60;
+  copts.num_actors = 100;
+  copts.seed = 19;
+  RequirementsCorpusGenerator gen(&vocab_, copts);
+  auto triples = gen.GenerateTriples();
+  ASSERT_TRUE(triples.ok());
+  ASSERT_GE(triples->size(), 5000u);
+  triples->resize(5000);
+  SemanticIndexOptions opts;
+  opts.bulk_load = true;
+  opts.build_threads = 1;
+  auto serial = SemanticIndex::Build(&vocab_, *triples, opts);
+  opts.build_threads = 4;
+  auto parallel = SemanticIndex::Build(&vocab_, *triples, opts);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(parallel.ok());
+
+  const FastMap& a = (*serial)->fastmap();
+  const FastMap& b = (*parallel)->fastmap();
+  ASSERT_EQ(a.flat_coordinates().size(), b.flat_coordinates().size());
+  EXPECT_EQ(std::memcmp(a.flat_coordinates().data(),
+                        b.flat_coordinates().data(),
+                        a.flat_coordinates().size() * sizeof(double)),
+            0);
+  EXPECT_EQ(a.pivots(), b.pivots());
+  EXPECT_EQ(a.pivot_distances(), b.pivot_distances());
+
+  persist::ByteWriter wa;
+  persist::ByteWriter wb;
+  ASSERT_TRUE((*serial)->tree().SaveTo(&wa).ok());
+  ASSERT_TRUE((*parallel)->tree().SaveTo(&wb).ok());
+  EXPECT_TRUE(wa.bytes() == wb.bytes());
+
+  std::vector<Triple> queries;
+  for (size_t i = 0; i < triples->size(); i += 97) {
+    queries.push_back((*triples)[i]);
+  }
+  queries.push_back(Req("GHOST99", "block_cmd", "reset"));
+  for (const Triple& q : queries) {
+    const std::vector<double> ea = (*serial)->Embed(q);
+    const std::vector<double> eb = (*parallel)->Embed(q);
+    ASSERT_EQ(ea.size(), eb.size());
+    EXPECT_EQ(std::memcmp(ea.data(), eb.data(), ea.size() * sizeof(double)),
+              0)
+        << q.ToString();
   }
 }
 

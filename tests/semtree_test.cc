@@ -13,6 +13,7 @@
 
 #include "common/random.h"
 #include "kdtree/linear_scan.h"
+#include "semtree/protocol.h"
 #include "semtree/semtree.h"
 
 namespace semtree {
@@ -182,6 +183,30 @@ TEST(SemTreeTest, BuildPartitionLayoutIsGolden) {
     EXPECT_EQ(per_partition, kGoldenPoints);
     EXPECT_TRUE((*tree)->CheckInvariants().ok());
   }
+}
+
+TEST(SemTreeTest, SearchItemBytesChargesEachFrameItsOwnFields) {
+  // A range frame carries only its partition and node; the status,
+  // split dimension, far child and gaps are k-NN fields.
+  protocol::SearchItem range;
+  range.type = QueryType::kRange;
+  range.query = {0.1, 0.2, 0.3};
+  range.rs.resize(2);
+  range.stack.resize(3);
+  range.remote.resize(1);
+  EXPECT_EQ(protocol::SearchItemBytes(range),
+            3 * sizeof(double) + 2 * sizeof(Neighbor) +
+                3 * 2 * sizeof(int32_t) + 1 * sizeof(ChildRef) + 32);
+
+  protocol::SearchItem knn;
+  knn.type = QueryType::kKnn;
+  knn.query = {0.1, 0.2, 0.3};
+  knn.gap = {0.0, 0.5, 0.0};
+  knn.rs.resize(2);
+  knn.stack.resize(3);
+  EXPECT_EQ(protocol::SearchItemBytes(knn),
+            (3 + 3) * sizeof(double) + 2 * sizeof(Neighbor) +
+                3 * sizeof(protocol::KnnFrame) + 32);
 }
 
 TEST(SemTreeTest, DistributedMatchesLinearScan) {
