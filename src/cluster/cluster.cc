@@ -8,10 +8,8 @@
 
 namespace semtree {
 
-Cluster::Cluster(ClusterOptions options) : options_(options) {
-  const bool delayed = options_.latency.count() > 0 ||
-                       options_.bandwidth_bytes_per_us > 0.0;
-  if (delayed) {
+Cluster::Cluster(ClusterOptions options) : latency_(options.latency) {
+  if (latency_.count() > 0) {
     net_running_ = true;
     net_thread_ = std::thread([this]() { NetworkLoop(); });
   }
@@ -19,10 +17,10 @@ Cluster::Cluster(ClusterOptions options) : options_(options) {
 
 Cluster::~Cluster() { Shutdown(); }
 
-ComputeNode* Cluster::AddNode() {
+ComputeNode* Cluster::AddNode(ComputeNode::Handler handler) {
   MutexLock lock(nodes_mu_);
   NodeId id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(std::make_unique<ComputeNode>(id));
+  nodes_.push_back(std::make_unique<ComputeNode>(id, std::move(handler)));
   return nodes_.back().get();
 }
 
@@ -32,39 +30,11 @@ ComputeNode* Cluster::node(NodeId id) const {
   return nodes_[static_cast<size_t>(id)].get();
 }
 
-size_t Cluster::NodeCount() const {
-  MutexLock lock(nodes_mu_);
-  return nodes_.size();
-}
-
-std::chrono::steady_clock::time_point Cluster::DeliveryTime(
-    size_t bytes) const {
-  auto now = std::chrono::steady_clock::now();
-  auto delay = options_.latency;
-  if (options_.bandwidth_bytes_per_us > 0.0) {
-    delay += std::chrono::microseconds(static_cast<int64_t>(
-        static_cast<double>(bytes) / options_.bandwidth_bytes_per_us));
-  }
-  return now + delay;
-}
-
 void Cluster::Account(const Message& msg) {
   MutexLock lock(stats_mu_);
   ++stats_.messages;
   stats_.bytes += msg.approx_bytes;
   if (msg.from != msg.to) ++stats_.remote_messages;
-}
-
-void Cluster::Send(NodeId target, uint32_t type, Payload payload,
-                   size_t approx_bytes, NodeId from) {
-  Message msg;
-  msg.type = type;
-  msg.from = from;
-  msg.to = target;
-  msg.payload = std::move(payload);
-  msg.approx_bytes = approx_bytes;
-  msg.deliver_at = DeliveryTime(approx_bytes);
-  Route(std::move(msg), /*claim=*/false);
 }
 
 std::future<Payload> Cluster::Call(NodeId target, uint32_t type,
@@ -83,13 +53,6 @@ std::future<Payload> Cluster::StartCall(NodeId target, uint32_t type,
     dead.set_value(nullptr);
     return dead.get_future();
   }
-  uint64_t correlation =
-      next_correlation_.fetch_add(1, std::memory_order_relaxed);
-  std::future<Payload> future;
-  {
-    MutexLock lock(pending_mu_);
-    future = pending_[correlation].get_future();
-  }
   {
     MutexLock lock(stats_mu_);
     ++stats_.calls;
@@ -98,10 +61,10 @@ std::future<Payload> Cluster::StartCall(NodeId target, uint32_t type,
   msg.type = type;
   msg.from = from;
   msg.to = target;
-  msg.correlation_id = correlation;
   msg.payload = std::move(payload);
   msg.approx_bytes = approx_bytes;
-  msg.deliver_at = DeliveryTime(approx_bytes);
+  msg.reply = std::make_shared<Reply>();
+  std::future<Payload> future = msg.reply->Future();
   Route(std::move(msg), claim);
   return future;
 }
@@ -129,9 +92,9 @@ Result<Payload> Cluster::CallAndWait(NodeId target, uint32_t type,
   std::future<Payload> future = StartCall(
       target, type, std::move(payload), approx_bytes, from, run_here);
   if (run_here) ComputeNode::RunClaimed();
-  Payload response = future.get();  // Never throws: promise always set.
+  Payload response = future.get();  // Never throws: the Reply always sets.
   if (response == nullptr) {
-    return Status::Unavailable("cluster shut down or target unknown");
+    return Status::Unavailable("cluster shut down or nobody answered");
   }
   return response;
 }
@@ -142,24 +105,22 @@ void Cluster::Forward(const Message& request, NodeId new_target,
     MutexLock lock(stats_mu_);
     ++stats_.forwards;
   }
-  Message msg = request;  // Payload shared; correlation preserved.
+  Message msg = request;  // Payload and Reply shared.
   msg.from = from;
   msg.to = new_target;
-  msg.deliver_at = DeliveryTime(msg.approx_bytes);
   Route(std::move(msg), /*claim=*/ComputeNode::InHandler());
 }
 
 void Cluster::Respond(const Message& request, Payload payload,
                       size_t approx_bytes) {
-  if (request.correlation_id == 0) return;  // One-way: nothing to do.
+  if (request.reply == nullptr) return;  // Nobody waits: nothing to do.
   Message msg;
   msg.type = kResponseType;
   msg.from = request.to;
   msg.to = request.from;
-  msg.correlation_id = request.correlation_id;
   msg.payload = std::move(payload);
   msg.approx_bytes = approx_bytes;
-  msg.deliver_at = DeliveryTime(approx_bytes);
+  msg.reply = request.reply;
   Route(std::move(msg), /*claim=*/false);
 }
 
@@ -170,7 +131,8 @@ void Cluster::Route(Message msg, bool claim) {
     MutexLock lock(net_mu_);
     delayed = net_running_;
     if (delayed) {
-      net_queue_.push(Scheduled{msg.deliver_at, net_seq_++, std::move(msg)});
+      net_queue_.push_back(Scheduled{
+          std::chrono::steady_clock::now() + latency_, std::move(msg)});
     }
   }
   if (delayed) {
@@ -184,35 +146,17 @@ void Cluster::Route(Message msg, bool claim) {
 
 void Cluster::DeliverNow(Message&& msg, bool claim) {
   if (msg.type == kResponseType) {
-    if (!Resolve(msg.correlation_id, std::move(msg.payload))) {
-      SEMTREE_LOG(Warning) << "orphan response for correlation "
-                           << msg.correlation_id;
-    }
+    msg.reply->Set(std::move(msg.payload));
     return;
   }
-  const uint64_t correlation = msg.correlation_id;
+  // A message no node takes is dropped here; once its last copy is
+  // gone, its Reply resolves the call with a null payload.
   ComputeNode* target = node(msg.to);
   if (target == nullptr) {
     SEMTREE_LOG(Warning) << "message to unknown node " << msg.to;
-  } else if (target->Deliver(std::move(msg), claim)) {
     return;
   }
-  // Nobody will answer: fail the call now rather than leave its caller
-  // blocked until Shutdown.
-  if (correlation != 0) Resolve(correlation, nullptr);
-}
-
-bool Cluster::Resolve(uint64_t correlation, Payload payload) {
-  std::promise<Payload> promise;
-  {
-    MutexLock lock(pending_mu_);
-    auto it = pending_.find(correlation);
-    if (it == pending_.end()) return false;
-    promise = std::move(it->second);
-    pending_.erase(it);
-  }
-  promise.set_value(std::move(payload));
-  return true;
+  target->Deliver(std::move(msg), claim);
 }
 
 void Cluster::NetworkLoop() {
@@ -226,14 +170,13 @@ void Cluster::NetworkLoop() {
       net_cv_.Wait(net_mu_);
       continue;
     }
-    auto at = net_queue_.top().at;
+    auto at = net_queue_.front().at;
     auto now = std::chrono::steady_clock::now();
     if (now < at) {
       // OS timer granularity (tens of microseconds) would inflate
       // sub-100us latencies; spin for near deadlines, sleep for far
-      // ones. Spinning can drop the lock: with a uniform latency model
-      // later sends always carry later deadlines, so the heap top
-      // stays the earliest message.
+      // ones. Spinning can drop the lock: later sends carry later
+      // deadlines, so the front stays the earliest message.
       if (at - now < std::chrono::microseconds(200)) {
         net_mu_.Unlock();
         while (std::chrono::steady_clock::now() < at) {
@@ -245,8 +188,8 @@ void Cluster::NetworkLoop() {
       }
       continue;
     }
-    Message msg = std::move(const_cast<Scheduled&>(net_queue_.top()).msg);
-    net_queue_.pop();
+    Message msg = std::move(net_queue_.front().msg);
+    net_queue_.pop_front();
     net_mu_.Unlock();
     DeliverNow(std::move(msg), /*claim=*/false);
     net_mu_.Lock();
@@ -261,19 +204,6 @@ ClusterStats Cluster::Stats() const {
 
 void Cluster::Shutdown() {
   if (is_shutdown_.exchange(true)) return;
-
-  auto resolve_pending = [this]() {
-    std::map<uint64_t, std::promise<Payload>> pending;
-    {
-      MutexLock lock(pending_mu_);
-      pending.swap(pending_);
-    }
-    for (auto& [correlation, promise] : pending) {
-      (void)correlation;
-      promise.set_value(nullptr);
-    }
-  };
-
   // Stop the network thread first so no new deliveries race the node
   // teardown; it drains whatever is already queued before exiting.
   {
@@ -289,17 +219,15 @@ void Cluster::Shutdown() {
     MutexLock lock(net_mu_);
     net_running_ = false;
   }
-  // Unblock any handler waiting on an in-flight RPC, then stop the
-  // nodes; new Calls after this point resolve to nullptr immediately,
-  // so no handler can block again.
-  resolve_pending();
+  // Each node runs what it has queued, and a handler waiting on a
+  // nested call is answered by a node not yet stopped: the callee was
+  // created after its caller. Calls made from here on resolve at once.
   std::vector<ComputeNode*> nodes;
   {
     MutexLock lock(nodes_mu_);
     for (auto& n : nodes_) nodes.push_back(n.get());
   }
   for (ComputeNode* n : nodes) n->Stop();
-  resolve_pending();
 }
 
 }  // namespace semtree

@@ -1,20 +1,19 @@
 // Copyright 2026 The SemTree Authors
 //
 // The simulated cluster: owns compute nodes, routes messages between
-// them with an injectable latency/bandwidth model, and provides a
-// request/response (RPC) layer on top of one-way messages. This stands
-// in for the paper's MPJ deployment on an 8-processor cluster; the
-// SemTree protocol code is identical either way (see DESIGN.md §2).
+// them with an injectable latency, and provides request/response calls
+// (RPC) with forwarding. This stands in for the paper's MPJ deployment
+// on an 8-processor cluster; the SemTree protocol code is identical
+// either way (see DESIGN.md §2).
 
 #ifndef SEMTREE_CLUSTER_CLUSTER_H_
 #define SEMTREE_CLUSTER_CLUSTER_H_
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <future>
-#include <map>
 #include <memory>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -28,9 +27,6 @@ namespace semtree {
 struct ClusterOptions {
   /// One-way delivery latency applied to every message.
   std::chrono::microseconds latency{0};
-
-  /// Payload bandwidth in bytes per microsecond; 0 means infinite.
-  double bandwidth_bytes_per_us = 0.0;
 };
 
 /// Aggregate interconnect statistics.
@@ -46,7 +42,7 @@ struct ClusterStats {
 ///
 /// Thread-safe: nodes can be added while the cluster runs (SemTree's
 /// build-partition allocates partitions at runtime), and any thread may
-/// Send/Call/Respond.
+/// Call/Forward/Respond.
 class Cluster {
  public:
   explicit Cluster(ClusterOptions options = {});
@@ -55,21 +51,15 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Creates a node; the caller registers handlers and then calls
-  /// ComputeNode::Start().
-  ComputeNode* AddNode();
-
-  ComputeNode* node(NodeId id) const;
-  size_t NodeCount() const;
-
-  /// One-way message.
-  void Send(NodeId target, uint32_t type, Payload payload,
-            size_t approx_bytes = 64, NodeId from = kClientNode);
+  /// Creates a node, with the next id, that runs `handler` for every
+  /// message it receives; its worker starts at once.
+  ComputeNode* AddNode(ComputeNode::Handler handler);
 
   /// RPC: sends a request and returns a future resolved by the
   /// handler's Respond (possibly after forwarding). The future holds a
-  /// null Payload if the cluster shuts down first or no node takes the
-  /// request.
+  /// null Payload if the cluster has shut down, or once the request's
+  /// last copy is gone unanswered (no node took it, or its handler did
+  /// not respond).
   std::future<Payload> Call(NodeId target, uint32_t type, Payload payload,
                             size_t approx_bytes = 64,
                             NodeId from = kClientNode);
@@ -92,37 +82,39 @@ class Cluster {
   std::vector<std::future<Payload>> CallAll(std::vector<OutboundCall> calls,
                                             NodeId from = kClientNode);
 
-  /// Blocking RPC convenience; surfaces shutdown, or a target that
-  /// does not exist, as Unavailable. Outside a handler the calling
+  /// Blocking RPC convenience; surfaces shutdown, or a request nobody
+  /// answered (Call), as Unavailable. Outside a handler the calling
   /// thread runs the target itself when it is idle (compute_node.h).
   Result<Payload> CallAndWait(NodeId target, uint32_t type,
                               Payload payload, size_t approx_bytes = 64,
                               NodeId from = kClientNode);
 
-  /// Re-targets an in-flight request to another node, preserving its
-  /// correlation id so the eventual Respond still reaches the original
-  /// caller (used by the insertion protocol: "a message containing the
-  /// point to be added has to be sent to the correct partition"). From
-  /// inside a handler, an idle target runs on the forwarding thread
-  /// once the handler has returned (compute_node.h).
+  /// Re-targets an in-flight request to another node. The copy shares
+  /// the request's Reply, so the eventual Respond still reaches the
+  /// original caller (used by the insertion protocol: "a message
+  /// containing the point to be added has to be sent to the correct
+  /// partition"). From inside a handler, an idle target runs on the
+  /// forwarding thread once the handler has returned (compute_node.h).
   void Forward(const Message& request, NodeId new_target, NodeId from);
 
-  /// Answers a request; resolves the caller's future.
+  /// Answers a request: its Reply resolves the caller's future. Does
+  /// nothing for a message without one.
   void Respond(const Message& request, Payload payload,
                size_t approx_bytes = 64);
 
-  /// Stops all nodes and the network thread; resolves outstanding
-  /// calls with null payloads. Idempotent; called by the destructor.
+  /// Stops the network thread, then every node once it has run the
+  /// messages already queued. Calls made afterwards resolve at once
+  /// with null payloads. Idempotent; called by the destructor.
   void Shutdown();
 
   ClusterStats Stats() const;
-  const ClusterOptions& options() const { return options_; }
 
  private:
-  // Responses travel as messages with this reserved type and are routed
-  // to the pending-call registry instead of a node.
+  // Responses travel as messages with this reserved type and resolve
+  // their Reply instead of reaching a node.
   static constexpr uint32_t kResponseType = 0xFFFFFFFFu;
 
+  ComputeNode* node(NodeId id) const;
   // `claim`: an idle target may be claimed for the calling thread
   // (ComputeNode::Deliver); only deliveries made without the latency
   // model's network thread can be.
@@ -131,47 +123,29 @@ class Cluster {
                                  NodeId from, bool claim);
   void Route(Message msg, bool claim);
   void DeliverNow(Message&& msg, bool claim);
-  // Resolves an in-flight RPC; false if it is not pending.
-  bool Resolve(uint64_t correlation, Payload payload);
   void NetworkLoop();
-  std::chrono::steady_clock::time_point DeliveryTime(size_t bytes) const;
   void Account(const Message& msg);
 
-  ClusterOptions options_;
+  const std::chrono::microseconds latency_;
 
   // Guards the node registry only; nodes are append-only and the
   // pointers handed out stay valid for the cluster's lifetime.
   mutable Mutex nodes_mu_;
   std::vector<std::unique_ptr<ComputeNode>> nodes_ GUARDED_BY(nodes_mu_);
 
-  // In-flight RPCs by correlation id. Promises are *moved out* under
-  // the lock and resolved outside it, so a continuation running on the
-  // resolving thread cannot re-enter the registry while it is held.
-  Mutex pending_mu_;
-  std::map<uint64_t, std::promise<Payload>> pending_
-      GUARDED_BY(pending_mu_);
-  std::atomic<uint64_t> next_correlation_{1};
-
-  // Delayed-delivery machinery (only engaged when latency/bandwidth
-  // model a non-zero delay).
+  // Delayed delivery, engaged only with a non-zero latency. Route
+  // stamps each message under net_mu_ with the one latency, so
+  // deadlines rise in queue order and the queue is FIFO.
   struct Scheduled {
     std::chrono::steady_clock::time_point at;
-    uint64_t seq;  // FIFO tie-break.
     Message msg;
-    bool operator>(const Scheduled& other) const {
-      if (at != other.at) return at > other.at;
-      return seq > other.seq;
-    }
   };
   Mutex net_mu_;
   CondVar net_cv_;  // Wakes the network thread: new message or shutdown.
-  std::priority_queue<Scheduled, std::vector<Scheduled>,
-                      std::greater<Scheduled>>
-      net_queue_ GUARDED_BY(net_mu_);
+  std::deque<Scheduled> net_queue_ GUARDED_BY(net_mu_);
   // Only touched by the constructor and Shutdown (serialized through
   // is_shutdown_), never by the network thread itself.
   std::thread net_thread_;
-  uint64_t net_seq_ GUARDED_BY(net_mu_) = 0;
   bool net_running_ GUARDED_BY(net_mu_) = false;
   bool shutdown_ GUARDED_BY(net_mu_) = false;
   std::atomic<bool> is_shutdown_{false};

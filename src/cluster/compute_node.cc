@@ -2,8 +2,6 @@
 
 #include "cluster/compute_node.h"
 
-#include "common/logging.h"
-
 namespace semtree {
 
 namespace {
@@ -14,22 +12,12 @@ thread_local bool t_in_handler = false;
 
 }  // namespace
 
-ComputeNode::ComputeNode(NodeId id) : id_(id) {}
+ComputeNode::ComputeNode(NodeId id, Handler handler)
+    : id_(id), handler_(std::move(handler)), worker_([this]() {
+        WorkerLoop();
+      }) {}
 
 ComputeNode::~ComputeNode() { Stop(); }
-
-void ComputeNode::RegisterHandler(uint32_t type, Handler handler) {
-  handlers_[type] = std::move(handler);
-}
-
-void ComputeNode::Start() {
-  {
-    MutexLock lock(mu_);
-    if (started_) return;
-    started_ = true;
-  }
-  worker_ = std::thread([this]() { WorkerLoop(); });
-}
 
 void ComputeNode::Stop() {
   {
@@ -46,7 +34,7 @@ bool ComputeNode::Deliver(Message msg, bool claim) {
     if (stopped_) return false;
     queue_.push_back(std::move(msg));
     if (running_) return true;  // Its current thread drains the queue.
-    if (claim && started_ && t_claimed == nullptr) {
+    if (claim && t_claimed == nullptr) {
       running_ = true;
       t_claimed = this;
       return true;
@@ -100,17 +88,11 @@ void ComputeNode::Drain() {
 }
 
 void ComputeNode::Dispatch(const Message& msg) {
-  auto it = handlers_.find(msg.type);
-  if (it == handlers_.end()) {
-    SEMTREE_LOG(Warning) << "node " << id_
-                         << " dropped message of unknown type " << msg.type;
-    return;
-  }
   // Count before dispatching: the handler may answer its caller, who
   // must then see this message counted.
   processed_.fetch_add(1, std::memory_order_relaxed);
   t_in_handler = true;
-  it->second(msg);
+  handler_(msg);
   t_in_handler = false;
 }
 

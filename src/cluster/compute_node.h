@@ -1,9 +1,9 @@
 // Copyright 2026 The SemTree Authors
 //
 // A simulated compute node: a FIFO message queue plus a running flag,
-// dispatching messages to registered handlers. One SemTree partition
-// lives on one compute node (paper §III-B: partitions are "usually
-// managed by a single compute node").
+// dispatching every message to the one handler it was built with. One
+// SemTree partition lives on one compute node (paper §III-B:
+// partitions are "usually managed by a single compute node").
 
 #ifndef SEMTREE_CLUSTER_COMPUTE_NODE_H_
 #define SEMTREE_CLUSTER_COMPUTE_NODE_H_
@@ -12,7 +12,6 @@
 #include <deque>
 #include <functional>
 #include <thread>
-#include <unordered_map>
 
 #include "cluster/message.h"
 #include "common/mutex.h"
@@ -21,8 +20,8 @@ namespace semtree {
 
 /// One node of the simulated cluster.
 ///
-/// Whichever thread holds the node's running flag runs its handlers,
-/// one at a time in queue order, and drains the queue before it
+/// Whichever thread holds the node's running flag runs its handler,
+/// one message at a time in queue order, and drains the queue before it
 /// releases the flag, so all state owned by the node (e.g. its
 /// partition) is mutated serially without locks. That thread is the
 /// node's worker, or a sender that claimed the idle node (Deliver with
@@ -38,9 +37,11 @@ namespace semtree {
 /// work item or hand subtrees back to the caller, and never wait.
 class ComputeNode {
  public:
+  /// Runs every message the node receives, whatever its type.
   using Handler = std::function<void(const Message&)>;
 
-  explicit ComputeNode(NodeId id);
+  /// Starts the node's worker at once.
+  ComputeNode(NodeId id, Handler handler);
   ~ComputeNode();
 
   ComputeNode(const ComputeNode&) = delete;
@@ -48,23 +49,16 @@ class ComputeNode {
 
   NodeId id() const { return id_; }
 
-  /// Registers the handler for a message type. Must happen before
-  /// Start(); one handler per type.
-  void RegisterHandler(uint32_t type, Handler handler);
-
-  /// Spawns the worker thread.
-  void Start();
-
   /// Refuses further messages, then joins the worker once every
   /// message queued before the call has run and no thread runs the
   /// node. Idempotent.
   void Stop();
 
   /// Queues a message for this node; false (and the message dropped)
-  /// after Stop(). With `claim`, an idle started node is claimed for
-  /// the calling thread unless it already holds a claim, and the
-  /// thread's outermost loop (RunClaimed) runs it. Otherwise the node's
-  /// current thread or its worker runs the message.
+  /// after Stop(). With `claim`, an idle node is claimed for the
+  /// calling thread unless it already holds a claim, and the thread's
+  /// outermost loop (RunClaimed) runs it. Otherwise the node's current
+  /// thread or its worker runs the message.
   bool Deliver(Message msg, bool claim);
 
   /// Runs the node this thread claimed through Deliver, if any, and
@@ -90,24 +84,22 @@ class ComputeNode {
   void Drain();
   void Dispatch(const Message& msg);
 
-  NodeId id_;
+  const NodeId id_;
+  // Deliberately lock-free by *confinement*, not by accident:
+  //  - handler_ is fixed at construction, before any thread can reach
+  //    the node, and never written again.
+  //  - State the handler captures (a SemTree partition) is touched
+  //    only by the thread holding running_, and mu_ orders
+  //    consecutive holders.
+  // Anything that breaks either rule must grow a Mutex here.
+  const Handler handler_;
   Mutex mu_;  // Orders consecutive holders of running_.
   CondVar cv_;  // Wakes the worker: work for it, or stop.
   std::deque<Message> queue_ GUARDED_BY(mu_);
   bool running_ GUARDED_BY(mu_) = false;  // A thread is draining queue_.
-  bool started_ GUARDED_BY(mu_) = false;
   bool stopped_ GUARDED_BY(mu_) = false;
-  // Deliberately lock-free by *confinement*, not by accident:
-  //  - handlers_ is written only before Start() and read-only
-  //    afterwards; Start() publishes it under mu_ to every thread
-  //    that later claims the node, and the thread constructor to the
-  //    worker.
-  //  - Partition state captured by the handlers is touched only by
-  //    the thread holding running_, and mu_ orders consecutive
-  //    holders.
-  // Anything that breaks either rule must grow a Mutex here.
-  std::unordered_map<uint32_t, Handler> handlers_;
   std::atomic<uint64_t> processed_{0};
+  // Last: the worker starts once every other member is initialized.
   std::thread worker_;
 };
 

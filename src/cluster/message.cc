@@ -1,7 +1,15 @@
 // Copyright 2026 The SemTree Authors
-//
-// Message is a plain struct; this translation unit anchors the target.
 
 #include "cluster/message.h"
 
-namespace semtree {}  // namespace semtree
+namespace semtree {
+
+Reply::~Reply() { Set(nullptr); }
+
+void Reply::Set(Payload payload) {
+  if (!set_.exchange(true, std::memory_order_acq_rel)) {
+    promise_.set_value(std::move(payload));
+  }
+}
+
+}  // namespace semtree

@@ -10,8 +10,9 @@
 #ifndef SEMTREE_CLUSTER_MESSAGE_H_
 #define SEMTREE_CLUSTER_MESSAGE_H_
 
-#include <chrono>
+#include <atomic>
 #include <cstdint>
+#include <future>
 #include <memory>
 
 namespace semtree {
@@ -37,22 +38,41 @@ T& PayloadAs(const Payload& payload) {
   return *static_cast<T*>(payload.get());
 }
 
+/// The caller's end of one call, shared by every copy of its request
+/// (forwards included) and by its response in flight. The first Set
+/// resolves the call; later ones do nothing. When the last copy goes
+/// away unanswered (no node took the request, or its handler never
+/// responded), the destructor resolves the call with a null payload.
+class Reply {
+ public:
+  Reply() = default;
+  ~Reply();
+  Reply(const Reply&) = delete;
+  Reply& operator=(const Reply&) = delete;
+
+  /// The caller's future; call once.
+  std::future<Payload> Future() { return promise_.get_future(); }
+
+  void Set(Payload payload);
+
+ private:
+  std::promise<Payload> promise_;
+  std::atomic<bool> set_{false};
+};
+
 /// One message on the simulated interconnect.
 struct Message {
   uint32_t type = 0;
   NodeId from = kClientNode;
   NodeId to = kClientNode;
 
-  /// Correlates requests with responses; 0 means one-way.
-  uint64_t correlation_id = 0;
-
   Payload payload;
 
   /// Approximate serialized size, accounted in ClusterStats.
   size_t approx_bytes = 0;
 
-  /// Earliest delivery time under the latency model.
-  std::chrono::steady_clock::time_point deliver_at{};
+  /// Where the answer goes; null for a message nobody waits on.
+  std::shared_ptr<Reply> reply;
 };
 
 }  // namespace semtree

@@ -33,8 +33,7 @@
 // EpochManager synchronizes readers against writers by itself; it does
 // NOT serialize writers against each other — publication, Advance,
 // Retire and reclaim belong under the owner's writer mutex (see
-// core/versioned_index.h and the SemTree partition table for the two
-// in-tree users).
+// core/versioned_index.h, the in-tree user).
 
 #ifndef SEMTREE_CORE_EPOCH_H_
 #define SEMTREE_CORE_EPOCH_H_

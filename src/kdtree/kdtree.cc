@@ -413,22 +413,19 @@ Result<KdTree> KdTree::LoadFrom(persist::ByteReader* in) {
     SEMTREE_ASSIGN_OR_RETURN(n.left, in->I32());
     SEMTREE_ASSIGN_OR_RETURN(n.right, in->I32());
     SEMTREE_ASSIGN_OR_RETURN(n.bucket, in->U32Array());
-    if (n.is_leaf) {
-      for (Slot s : n.bucket) {
-        if (s >= tree.store_.slot_count()) {
-          return Status::Corruption("kd-tree bucket slot out of range");
-        }
-      }
-    } else if (n.split_dim >= tree.dimensions_ || n.left < 0 ||
-               n.right < 0 || uint64_t(n.left) >= node_count ||
-               uint64_t(n.right) >= node_count) {
+    if (!n.is_leaf &&
+        (n.split_dim >= tree.dimensions_ || n.left < 0 || n.right < 0 ||
+         uint64_t(n.left) >= node_count ||
+         uint64_t(n.right) >= node_count)) {
       return Status::Corruption("kd-tree routing node malformed");
     }
     tree.nodes_.push_back(std::move(n));
   }
   // Range checks alone admit cycles, which would overflow the search
-  // recursion; require the children to form a tree below node 0.
+  // recursion; require the children to form a tree below node 0. The
+  // leaves it reaches must own the store's live slots.
   std::vector<bool> visited(node_count, false);
+  std::vector<const std::vector<Slot>*> leaves;
   std::vector<int32_t> stack = {0};
   while (!stack.empty()) {
     int32_t node = stack.back();
@@ -438,11 +435,15 @@ Result<KdTree> KdTree::LoadFrom(persist::ByteReader* in) {
     }
     visited[size_t(node)] = true;
     const Node& n = tree.nodes_[size_t(node)];
-    if (!n.is_leaf) {
+    if (n.is_leaf) {
+      leaves.push_back(&n.bucket);
+    } else {
       stack.push_back(n.left);
       stack.push_back(n.right);
     }
   }
+  SEMTREE_RETURN_NOT_OK(
+      persist::CheckSlotOwnership(tree.store_, leaves, "kd-tree"));
   tree.RestoreEpoch(epoch);
   return tree;
 }

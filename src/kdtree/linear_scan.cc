@@ -63,14 +63,8 @@ Result<LinearScanIndex> LinearScanIndex::LoadFrom(
     return Status::Corruption("linear-scan arena dimensionality mismatch");
   }
   SEMTREE_ASSIGN_OR_RETURN(index.slots_, in->U32Array());
-  if (index.slots_.size() != index.store_.size()) {
-    return Status::Corruption("linear-scan slot list disagrees with arena");
-  }
-  for (PointStore::Slot s : index.slots_) {
-    if (s >= index.store_.slot_count()) {
-      return Status::Corruption("linear-scan slot out of range");
-    }
-  }
+  SEMTREE_RETURN_NOT_OK(persist::CheckSlotOwnership(
+      index.store_, {&index.slots_}, "linear-scan"));
   index.RestoreEpoch(epoch);
   return index;
 }

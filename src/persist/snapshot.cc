@@ -258,10 +258,16 @@ Result<PointStore> ReadPointStore(ByteReader* in) {
   if (free_slots.size() > ids.size()) {
     return Status::Corruption("point store free list longer than arena");
   }
+  // A slot listed twice would be handed out by two later appends.
+  std::vector<bool> is_free(ids.size(), false);
   for (uint32_t slot : free_slots) {
     if (slot >= ids.size()) {
       return Status::Corruption("point store free slot out of range");
     }
+    if (is_free[slot]) {
+      return Status::Corruption("point store frees a slot twice");
+    }
+    is_free[slot] = true;
   }
   SEMTREE_ASSIGN_OR_RETURN(uint64_t row_doubles, in->U64());
   if (row_doubles != ids.size() * dims) {
@@ -280,6 +286,37 @@ Result<PointStore> ReadPointStore(ByteReader* in) {
         run * dims));
   }
   return store;
+}
+
+Status CheckSlotOwnership(
+    const PointStore& store,
+    const std::vector<const std::vector<PointStore::Slot>*>& lists,
+    const char* what) {
+  enum : uint8_t { kUnnamed, kNamed, kFree };
+  std::vector<uint8_t> state(store.slot_count(), kUnnamed);
+  for (PointStore::Slot s : store.free_slots()) state[s] = kFree;
+  size_t named = 0;
+  for (const std::vector<PointStore::Slot>* list : lists) {
+    for (PointStore::Slot s : *list) {
+      if (s >= state.size()) {
+        return Status::Corruption(StringPrintf("%s slot out of range", what));
+      }
+      if (state[s] != kUnnamed) {
+        return Status::Corruption(StringPrintf(
+            "%s names a %s slot", what,
+            state[s] == kFree ? "free" : "repeated"));
+      }
+      state[s] = kNamed;
+      ++named;
+    }
+  }
+  // Every named slot is live and distinct, so equal counts mean the
+  // lists cover the live slots exactly.
+  if (named != store.size()) {
+    return Status::Corruption(
+        StringPrintf("%s misses a live store slot", what));
+  }
+  return Status::OK();
 }
 
 }  // namespace persist

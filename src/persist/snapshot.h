@@ -90,6 +90,16 @@ class SnapshotReader {
 void WritePointStore(const PointStore& store, ByteWriter* out);
 Result<PointStore> ReadPointStore(ByteReader* in);
 
+/// The check every loader of slot lists over a PointStore makes (the
+/// KD-tree's leaves, the linear scan's list, a partition's live
+/// leaves): Corruption if a list names a slot that is out of range,
+/// free, or already named, or if the lists together miss a live slot.
+/// `what` names the structure in the message.
+Status CheckSlotOwnership(
+    const PointStore& store,
+    const std::vector<const std::vector<PointStore::Slot>*>& lists,
+    const char* what);
+
 }  // namespace persist
 }  // namespace semtree
 

@@ -125,35 +125,46 @@ void Partition::BuildBalancedLocal(int32_t root, const PointBlock& block,
   AddPoints(count);
 }
 
+template <typename Visit>
+bool Partition::WalkLocal(const std::vector<int32_t>& starts,
+                          Visit visit) const {
+  std::vector<WalkFrame> stack;
+  for (int32_t start : starts) stack.push_back({start, -1, false, 0});
+  while (!stack.empty()) {
+    const WalkFrame f = stack.back();
+    stack.pop_back();
+    const PNode& n = nodes_[static_cast<size_t>(f.node)];
+    if (n.is_dead) continue;
+    const bool routing = !n.is_leaf;
+    const ChildRef left = n.left;
+    const ChildRef right = n.right;
+    if (!visit(f, n)) return false;
+    if (!routing) continue;
+    if (left.partition == id_) {
+      stack.push_back({left.node, f.node, true, f.depth + 1});
+    }
+    if (right.partition == id_) {
+      stack.push_back({right.node, f.node, false, f.depth + 1});
+    }
+  }
+  return true;
+}
+
 std::vector<SubtreeInfo> Partition::Subtrees() const {
   std::vector<SubtreeInfo> out;
   for (int32_t root : roots_) {
-    const PNode& rn = nodes_[static_cast<size_t>(root)];
-    if (rn.is_dead) continue;
+    if (nodes_[static_cast<size_t>(root)].is_dead) continue;
     SubtreeInfo info;
     info.root = root;
-    std::vector<int32_t> stack{root};
-    while (!stack.empty()) {
-      int32_t idx = stack.back();
-      stack.pop_back();
-      const PNode& n = nodes_[static_cast<size_t>(idx)];
-      if (n.is_dead) continue;
+    WalkLocal({root}, [&](const WalkFrame&, const PNode& n) {
       ++info.nodes;
       if (n.is_leaf) {
         info.points += n.bucket.size();
-        continue;
-      }
-      if (n.left.partition == id_) {
-        stack.push_back(n.left.node);
-      } else {
+      } else if (n.left.partition != id_ || n.right.partition != id_) {
         info.fully_local = false;
       }
-      if (n.right.partition == id_) {
-        stack.push_back(n.right.node);
-      } else {
-        info.fully_local = false;
-      }
-    }
+      return true;
+    });
     out.push_back(info);
   }
   return out;
@@ -161,47 +172,30 @@ std::vector<SubtreeInfo> Partition::Subtrees() const {
 
 bool Partition::SubtreeLocalSlots(int32_t root,
                                   std::vector<Slot>* out) const {
-  std::vector<int32_t> stack{root};
-  while (!stack.empty()) {
-    int32_t idx = stack.back();
-    stack.pop_back();
-    const PNode& n = nodes_[static_cast<size_t>(idx)];
-    if (n.is_dead) continue;
+  return WalkLocal({root}, [&](const WalkFrame&, const PNode& n) {
     if (n.is_leaf) {
       out->insert(out->end(), n.bucket.begin(), n.bucket.end());
-      continue;
+      return true;
     }
-    if (n.left.partition != id_ || n.right.partition != id_) {
-      return false;
-    }
-    stack.push_back(n.left.node);
-    stack.push_back(n.right.node);
-  }
-  return true;
+    return n.left.partition == id_ && n.right.partition == id_;
+  });
 }
 
 void Partition::DetachSubtree(int32_t root) {
-  std::vector<int32_t> stack{root};
-  while (!stack.empty()) {
-    int32_t idx = stack.back();
-    stack.pop_back();
-    PNode& n = nodes_[static_cast<size_t>(idx)];
-    if (n.is_dead) continue;
+  WalkLocal({root}, [&](const WalkFrame& f, const PNode&) {
+    PNode& n = nodes_[static_cast<size_t>(f.node)];
     for (Slot s : n.bucket) store_.Release(s);
     n.bucket.clear();
     n.bucket.shrink_to_fit();
-    if (!n.is_leaf) {
-      if (n.left.partition == id_) stack.push_back(n.left.node);
-      if (n.right.partition == id_) stack.push_back(n.right.node);
-    }
-    if (idx == root) {
+    if (f.node == root) {
       n.is_leaf = true;
       n.left = ChildRef{};
       n.right = ChildRef{};
     } else {
       n.is_dead = true;
     }
-  }
+    return true;
+  });
 }
 
 void Partition::SaveTo(persist::ByteWriter* out) const {
@@ -286,19 +280,20 @@ Status Partition::RestoreFrom(persist::ByteReader* in,
     SEMTREE_ASSIGN_OR_RETURN(n.right.partition, in->I32());
     SEMTREE_ASSIGN_OR_RETURN(n.right.node, in->I32());
     SEMTREE_ASSIGN_OR_RETURN(n.bucket, in->U32Array());
-    if (n.is_leaf) {
-      for (Slot s : n.bucket) {
-        if (s >= store.slot_count()) {
-          return Status::Corruption("partition bucket slot out of range");
-        }
-      }
-    } else if (!n.is_dead &&
-               (n.split_dim >= dimensions_ || !check_ref(n.left) ||
-                !check_ref(n.right))) {
+    if (!n.is_leaf && !n.is_dead &&
+        (n.split_dim >= dimensions_ || !check_ref(n.left) ||
+         !check_ref(n.right))) {
       return Status::Corruption("partition routing node malformed");
     }
     nodes.push_back(std::move(n));
   }
+  // The live leaves must own the arena's live slots.
+  std::vector<const std::vector<Slot>*> leaves;
+  for (const PNode& n : nodes) {
+    if (n.is_leaf && !n.is_dead) leaves.push_back(&n.bucket);
+  }
+  SEMTREE_RETURN_NOT_OK(
+      persist::CheckSlotOwnership(store, leaves, "partition"));
   // Optional load-counter tail: absent in pre-rebalancer blobs, in
   // which case the partition keeps its current counters (so a
   // partition-local rebuild from an old blob does not zero the load
@@ -323,29 +318,10 @@ Status Partition::RestoreFrom(persist::ByteReader* in,
 
 std::vector<Partition::LeafLocation> Partition::LocalLeaves() const {
   std::vector<LeafLocation> out;
-  struct Frame {
-    int32_t node;
-    int32_t parent;
-    bool is_left;
-  };
-  std::vector<Frame> stack;
-  for (int32_t root : roots_) stack.push_back({root, -1, false});
-  while (!stack.empty()) {
-    Frame f = stack.back();
-    stack.pop_back();
-    const PNode& n = nodes_[static_cast<size_t>(f.node)];
-    if (n.is_dead) continue;
-    if (n.is_leaf) {
-      out.push_back(LeafLocation{f.node, f.parent, f.is_left});
-      continue;
-    }
-    if (n.left.partition == id_) {
-      stack.push_back({n.left.node, f.node, true});
-    }
-    if (n.right.partition == id_) {
-      stack.push_back({n.right.node, f.node, false});
-    }
-  }
+  WalkLocal(roots_, [&](const WalkFrame& f, const PNode& n) {
+    if (n.is_leaf) out.push_back(LeafLocation{f.node, f.parent, f.is_left});
+    return true;
+  });
   return out;
 }
 
@@ -356,37 +332,19 @@ PartitionStats Partition::Stats() const {
   stats.load_ops = load_ops_;
   stats.load_distances = load_distances_;
   stats.rebalances = rebalances_;
-  struct Frame {
-    int32_t node;
-    size_t depth;
-  };
-  std::vector<Frame> stack;
-  for (int32_t root : roots_) stack.push_back({root, 0});
-  while (!stack.empty()) {
-    Frame f = stack.back();
-    stack.pop_back();
-    const PNode& n = nodes_[static_cast<size_t>(f.node)];
-    if (n.is_dead) continue;
+  WalkLocal(roots_, [&](const WalkFrame& f, const PNode& n) {
     ++stats.nodes;
     stats.local_depth = std::max(stats.local_depth, f.depth);
     if (n.is_leaf) {
       ++stats.leaves;
-      continue;
-    }
-    ++stats.routing;
-    bool edge = false;
-    if (n.left.partition == id_) {
-      stack.push_back({n.left.node, f.depth + 1});
     } else {
-      edge = true;
+      ++stats.routing;
+      if (n.left.partition != id_ || n.right.partition != id_) {
+        ++stats.edge_nodes;
+      }
     }
-    if (n.right.partition == id_) {
-      stack.push_back({n.right.node, f.depth + 1});
-    } else {
-      edge = true;
-    }
-    if (edge) ++stats.edge_nodes;
-  }
+    return true;
+  });
   return stats;
 }
 

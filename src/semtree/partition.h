@@ -218,6 +218,24 @@ class Partition {
   Status RestoreFrom(persist::ByteReader* in, size_t expected_partitions);
 
  private:
+  // A node on WalkLocal's stack: its parent (-1 for a start node), the
+  // side it hangs off, and its depth below the start node.
+  struct WalkFrame {
+    int32_t node;
+    int32_t parent;
+    bool is_left;
+    size_t depth;
+  };
+  // The one walk over live local nodes. A stack seeded with `starts`
+  // in order (so the last one pops first) is popped, dead nodes are
+  // skipped, and `visit(frame, node)` is called; it returns false to
+  // stop the walk. Then the node's local children are pushed, left
+  // before right, so the right one pops first. The children are read
+  // before the call, so `visit` may clear them. False if `visit`
+  // stopped the walk.
+  template <typename Visit>
+  bool WalkLocal(const std::vector<int32_t>& starts, Visit visit) const;
+
   int32_t id_;
   size_t dimensions_;
   size_t bucket_size_;

@@ -116,16 +116,6 @@ PointBlock RowsMissingFrom(const PointBlock& a, const PointBlock& b) {
 // Handler side (runs on whichever thread holds the owning partition's
 // compute node, one handler at a time)
 
-void SemTree::RegisterRebalanceHandlers(Partition* part,
-                                        ComputeNode* node) {
-  node->RegisterHandler(kSplitMsg, [this, part](const Message& m) {
-    HandleSplit(part, m);
-  });
-  node->RegisterHandler(kInstallSplitMsg, [this, part](const Message& m) {
-    HandleInstallSplit(part, m);
-  });
-}
-
 void SemTree::HandleSplit(Partition* p, const Message& msg) {
   auto& req = PayloadAs<SplitRequest>(msg.payload);
   SplitResponse resp;

@@ -224,12 +224,8 @@ Result<std::unique_ptr<SemTree>> SemTree::Create(SemTreeOptions options) {
 }
 
 SemTree::SemTree(SemTreeOptions options) : options_(std::move(options)) {
-  ClusterOptions copts;
-  copts.latency = options_.network_latency;
-  copts.bandwidth_bytes_per_us = options_.bandwidth_bytes_per_us;
-  cluster_ = std::make_unique<Cluster>(copts);
-  partition_table_.store(new PartitionTable{},
-                         std::memory_order_seq_cst);
+  cluster_ = std::make_unique<Cluster>(
+      ClusterOptions{.latency = options_.network_latency});
 }
 
 SemTree::~SemTree() {
@@ -237,61 +233,34 @@ SemTree::~SemTree() {
   // on its own thread; it must be gone before the nodes stop.
   StopRebalancer();
   cluster_->Shutdown();
-  // Every node has stopped and no handler runs, so no reader can be
-  // pinned: the current table dies here and the retired ones drain in
-  // RetireList's destructor.
-  delete partition_table_.load(std::memory_order_seq_cst);
 }
 
 int32_t SemTree::CreatePartition() {
-  // Messages address a partition by its node id, so the node is
-  // created and started under the same lock that picks the partition
-  // id, and the partition is published only once its node runs.
+  // Messages address a partition by its node id. Only this function
+  // adds nodes, and the cluster numbers them in creation order, so
+  // creating the node under the lock that picks the partition id gives
+  // it the same id.
   MutexLock lock(partitions_mu_);
   if (partitions_.size() >= options_.max_partitions) return -1;
   const int32_t id = static_cast<int32_t>(partitions_.size());
-  auto part = std::make_unique<Partition>(id, options_.dimensions,
-                                          options_.bucket_size);
-  ComputeNode* node = cluster_->AddNode();
-  if (node->id() != id) {
-    SEMTREE_LOG(Error) << "partition " << id << " got compute node "
-                       << node->id();
-    return -1;
-  }
-  RegisterHandlers(part.get(), node);
-  node->Start();
-  partitions_.push_back(std::move(part));
-  // RCU publish (core/epoch.h): a rebuilt immutable table replaces
-  // the published one; routing hops pinned to the old table keep
-  // reading it until they drain, then it is reclaimed.
-  auto* next = new PartitionTable;
-  next->entries.reserve(partitions_.size());
-  for (const auto& p : partitions_) next->entries.push_back(p.get());
-  const PartitionTable* old =
-      partition_table_.exchange(next, std::memory_order_seq_cst);
-  const uint64_t retire = partition_epochs_.Advance();
-  retired_tables_.Retire(retire, /*tag=*/retire, [old] { delete old; });
-  retired_tables_.ReclaimBefore(partition_epochs_.MinActiveEpoch());
+  partitions_.push_back(std::make_unique<Partition>(
+      id, options_.dimensions, options_.bucket_size));
+  Partition* part = partitions_.back().get();
+  cluster_->AddNode([this, part](const Message& m) { Handle(part, m); });
   return id;
 }
 
 Partition* SemTree::partition(int32_t id) const {
-  // Lock-free: pin, read the published table, unpin. The returned
-  // Partition pointer outlives the pin — partitions live as long as
-  // the tree — so only the table access needs the guard.
-  EpochGuard guard(partition_epochs_);
-  const PartitionTable* table =
-      partition_table_.load(std::memory_order_seq_cst);
-  if (id < 0 || static_cast<size_t>(id) >= table->entries.size()) {
+  MutexLock lock(partitions_mu_);
+  if (id < 0 || static_cast<size_t>(id) >= partitions_.size()) {
     return nullptr;
   }
-  return table->entries[static_cast<size_t>(id)];
+  return partitions_[static_cast<size_t>(id)].get();
 }
 
 size_t SemTree::PartitionCount() const {
-  EpochGuard guard(partition_epochs_);
-  return partition_table_.load(std::memory_order_seq_cst)
-      ->entries.size();
+  MutexLock lock(partitions_mu_);
+  return partitions_.size();
 }
 
 bool SemTree::IsSaturated(const Partition& part) const {
@@ -300,37 +269,23 @@ bool SemTree::IsSaturated(const Partition& part) const {
   return stats.points >= options_.partition_capacity;
 }
 
-void SemTree::RegisterHandlers(Partition* part, ComputeNode* node) {
-  node->RegisterHandler(kInsertMsg, [this, part](const Message& m) {
-    HandleInsert(part, m);
-  });
-  node->RegisterHandler(kSearchMsg, [this, part](const Message& m) {
-    HandleSearch(part, m);
-  });
-  node->RegisterHandler(kBuildPartitionMsg,
-                        [this, part](const Message& m) {
-                          HandleBuildPartition(part, m);
-                        });
-  node->RegisterHandler(kStatsMsg, [this, part](const Message& m) {
-    HandleStats(part, m);
-  });
-  node->RegisterHandler(kRemoveMsg, [this, part](const Message& m) {
-    HandleRemove(part, m);
-  });
-  node->RegisterHandler(kBulkBuildMsg, [this, part](const Message& m) {
-    HandleBulkBuild(part, m);
-  });
-  node->RegisterHandler(kInstallTopologyMsg,
-                        [this, part](const Message& m) {
-                          HandleInstallTopology(part, m);
-                        });
-  node->RegisterHandler(kSnapshotMsg, [this, part](const Message& m) {
-    HandleSnapshot(part, m);
-  });
-  node->RegisterHandler(kRestoreMsg, [this, part](const Message& m) {
-    HandleRestore(part, m);
-  });
-  RegisterRebalanceHandlers(part, node);
+void SemTree::Handle(Partition* p, const Message& msg) {
+  switch (msg.type) {
+    case kInsertMsg: return HandleInsert(p, msg);
+    case kSearchMsg: return HandleSearch(p, msg);
+    case kBuildPartitionMsg: return HandleBuildPartition(p, msg);
+    case kStatsMsg: return HandleStats(p, msg);
+    case kRemoveMsg: return HandleRemove(p, msg);
+    case kBulkBuildMsg: return HandleBulkBuild(p, msg);
+    case kInstallTopologyMsg: return HandleInstallTopology(p, msg);
+    case kSnapshotMsg: return HandleSnapshot(p, msg);
+    case kRestoreMsg: return HandleRestore(p, msg);
+    case kSplitMsg: return HandleSplit(p, msg);
+    case kInstallSplitMsg: return HandleInstallSplit(p, msg);
+  }
+  // Dropping the request resolves its caller with a null payload.
+  SEMTREE_LOG(Warning) << "partition " << p->id()
+                       << " dropped message of unknown type " << msg.type;
 }
 
 // --------------------------------------------------------------------

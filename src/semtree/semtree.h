@@ -49,7 +49,6 @@
 #include "cluster/cluster.h"
 #include "common/mutex.h"
 #include "common/result.h"
-#include "core/epoch.h"
 #include "core/point.h"
 #include "core/point_block.h"
 #include "core/query.h"
@@ -84,9 +83,6 @@ struct SemTreeOptions {
 
   /// One-way network latency of the simulated interconnect.
   std::chrono::microseconds network_latency{0};
-
-  /// Interconnect bandwidth (bytes/us); 0 = infinite.
-  double bandwidth_bytes_per_us = 0.0;
 
   /// How bulk loads cut nodes (core/split.h): the paper's median split
   /// or clustering-guided centroid splits (core/bulk_build.h). Applies
@@ -273,7 +269,7 @@ class SemTree {
   /// Reassembles a saved tree: partitions (and their compute nodes)
   /// are recreated and every blob ships back to its node for restore —
   /// no re-insertion, no rebuild. `runtime` supplies the deployment
-  /// knobs (latency, bandwidth, saturation, extra partition headroom);
+  /// knobs (latency, saturation, extra partition headroom);
   /// dimensions and bucket size come from the snapshot.
   static Result<std::unique_ptr<SemTree>> LoadFrom(
       persist::ByteReader* in, SemTreeOptions runtime = {});
@@ -281,18 +277,18 @@ class SemTree {
  private:
   explicit SemTree(SemTreeOptions options);
 
-  /// Allocates a new partition + compute node with the same id, and
-  /// publishes the partition once its node runs; -1 if max_partitions
-  /// is reached. Thread-safe; takes Cluster::nodes_mu_ inside
-  /// partitions_mu_.
+  /// Allocates a new partition and the compute node, with the same id,
+  /// that runs its handlers; -1 if max_partitions is reached.
+  /// Thread-safe; takes Cluster::nodes_mu_ inside partitions_mu_.
   int32_t CreatePartition();
-  void RegisterHandlers(Partition* partition, ComputeNode* node);
 
   Partition* partition(int32_t id) const;
   bool IsSaturated(const Partition& partition) const;
 
-  // Message handlers: each runs on whichever thread holds the owning
-  // partition's compute node, one at a time (compute_node.h).
+  // The handler of partition `p`'s compute node: dispatches on the
+  // message type, and logs and drops an unknown one. Runs on whichever
+  // thread holds the node, one message at a time (compute_node.h).
+  void Handle(Partition* p, const Message& msg);
   void HandleInsert(Partition* p, const Message& msg);
   void HandleRemove(Partition* p, const Message& msg);
   void HandleSearch(Partition* p, const Message& msg);
@@ -304,7 +300,6 @@ class SemTree {
   void HandleRestore(Partition* p, const Message& msg);
 
   // Rebalance handlers + coordinator (semtree/rebalance.cc).
-  void RegisterRebalanceHandlers(Partition* partition, ComputeNode* node);
   void HandleSplit(Partition* p, const Message& msg);
   void HandleInstallSplit(Partition* p, const Message& msg);
 
@@ -330,26 +325,15 @@ class SemTree {
   SemTreeOptions options_;
   std::unique_ptr<Cluster> cluster_;
 
-  // The partition registry is read on every routing hop (partition()
-  // in the message handlers) but written only by CreatePartition, so
-  // reads go through an RCU-published immutable snapshot (DESIGN.md
-  // §11): readers pin an epoch and load `partition_table_` — no lock
-  // on the hot path — while the writer swaps in a rebuilt table under
-  // partitions_mu_ and retires the old one until the last pinned
-  // reader drains. The Partition objects themselves are not part of
-  // the protocol: each one's state is confined to the thread that
-  // holds its compute node (compute_node.h), and the pointers stay
-  // valid for the tree's lifetime — only the *table* is versioned.
-  struct PartitionTable {
-    std::vector<Partition*> entries;  // Borrowed from partitions_.
-  };
-
+  // The partition registry, append-only. No routing hop reads it:
+  // each compute node's handler holds its own Partition*. Only
+  // CreatePartition, partition() (CheckInvariants) and PartitionCount
+  // touch it. A partition's state is confined to the thread that holds
+  // its compute node (compute_node.h), and the pointers stay valid for
+  // the tree's lifetime.
   mutable Mutex partitions_mu_;
   std::vector<std::unique_ptr<Partition>> partitions_
       GUARDED_BY(partitions_mu_);
-  mutable EpochManager partition_epochs_;
-  std::atomic<const PartitionTable*> partition_table_;
-  RetireList retired_tables_ GUARDED_BY(partitions_mu_);
 
   std::atomic<size_t> total_points_{0};
 

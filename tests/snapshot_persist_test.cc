@@ -13,11 +13,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/backends.h"
 #include "kdtree/kdtree.h"
+#include "kdtree/linear_scan.h"
 #include "engine/query_engine.h"
 #include "engine/result_cache.h"
 #include "nlp/requirements_corpus.h"
@@ -26,6 +28,7 @@
 #include "persist/snapshot.h"
 #include "persist/wire.h"
 #include "semtree/index_io.h"
+#include "semtree/partition.h"
 
 namespace semtree {
 namespace {
@@ -282,6 +285,101 @@ TEST(SpatialSnapshotTest, CyclicTopologyRejected) {
   auto r = persist::ParseSpatialIndex(snap.Serialize());
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
+}
+
+// -------------------------------------------------------------------
+// Slot ownership: checksum-valid blobs whose slot lists disagree with
+// their arena. Each case once loaded and then served wrong answers.
+
+// A two-dimensional point store with one row per id and the given
+// free list.
+void PutStore(persist::ByteWriter* out, const std::vector<uint64_t>& ids,
+              const std::vector<uint32_t>& free_slots) {
+  out->PutU64(2);     // dimensions
+  out->PutU64(1024);  // chunk capacity
+  out->PutU64Array(ids);
+  out->PutU32Array(free_slots);
+  out->PutU64(ids.size() * 2);  // row doubles
+  for (size_t i = 0; i < ids.size() * 2; ++i) out->PutDouble(0.5);
+}
+
+void PutKdNode(persist::ByteWriter* out, bool is_leaf, int32_t left,
+               int32_t right, const std::vector<uint32_t>& bucket) {
+  out->PutU8(is_leaf ? 1 : 0);
+  out->PutU32(0);       // split_dim
+  out->PutDouble(0.5);  // split_value
+  out->PutI32(left);
+  out->PutI32(right);
+  out->PutU32Array(bucket);
+}
+
+TEST(SlotOwnershipTest, CorruptionMutationsRejected) {
+  struct Case {
+    const char* name;
+    std::function<Status(persist::ByteReader*)> load;
+    std::function<void(persist::ByteWriter*)> write;
+  };
+  const std::vector<Case> cases = {
+      // Two later appends would both get slot 0.
+      {"point store frees slot 0 twice",
+       [](persist::ByteReader* in) {
+         return persist::ReadPointStore(in).status();
+       },
+       [](persist::ByteWriter* out) { PutStore(out, {1, 2}, {0, 0}); }},
+      // A range query would return the point twice.
+      {"kd-tree leaves share a slot",
+       [](persist::ByteReader* in) { return KdTree::LoadFrom(in).status(); },
+       [](persist::ByteWriter* out) {
+         out->PutU64(2);  // dimensions
+         out->PutU64(8);  // bucket_size
+         out->PutU64(0);  // epoch
+         PutStore(out, {1}, {});
+         out->PutU64(3);  // nodes
+         PutKdNode(out, false, 1, 2, {});
+         PutKdNode(out, true, -1, -1, {0});
+         PutKdNode(out, true, -1, -1, {0});
+       }},
+      // A range query would return id 1 twice and lose id 2.
+      {"linear-scan list names a slot twice",
+       [](persist::ByteReader* in) {
+         return LinearScanIndex::LoadFrom(in).status();
+       },
+       [](persist::ByteWriter* out) {
+         out->PutU64(2);  // dimensions
+         out->PutU64(0);  // epoch
+         PutStore(out, {1, 2}, {});
+         out->PutU32Array({0, 0});
+       }},
+      // The next insert would reuse slot 1 and rename the leaf's point.
+      {"partition leaf names a free slot",
+       [](persist::ByteReader* in) {
+         Partition part(/*id=*/0, /*dimensions=*/2, /*bucket_size=*/8);
+         return part.RestoreFrom(in, /*expected_partitions=*/1);
+       },
+       [](persist::ByteWriter* out) {
+         out->PutU64(2);  // dimensions
+         out->PutU64(8);  // bucket_size
+         out->PutU64(2);  // points
+         PutStore(out, {1, 2}, {1});
+         out->PutU64(1);  // roots
+         out->PutI32(0);
+         out->PutU64(1);  // nodes
+         out->PutU8(1);   // live leaf
+         out->PutU32(0);
+         out->PutDouble(0.0);
+         for (int i = 0; i < 4; ++i) out->PutI32(-1);
+         out->PutU32Array({0, 1});
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    persist::ByteWriter out;
+    c.write(&out);
+    const std::string bytes = out.Take();
+    persist::ByteReader in(bytes);
+    Status st = c.load(&in);
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  }
 }
 
 // -------------------------------------------------------------------

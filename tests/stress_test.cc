@@ -117,11 +117,9 @@ TEST(ClusterStressTest, ManyClientsManyNodes) {
   constexpr uint32_t kEcho = 1;
   std::vector<ComputeNode*> nodes;
   for (int i = 0; i < 8; ++i) {
-    ComputeNode* n = cluster.AddNode();
-    n->RegisterHandler(kEcho, [&cluster](const Message& m) {
+    ComputeNode* n = cluster.AddNode([&cluster](const Message& m) {
       cluster.Respond(m, m.payload);
     });
-    n->Start();
     nodes.push_back(n);
   }
   std::atomic<int> ok{0};
@@ -145,12 +143,10 @@ TEST(ClusterStressTest, ShutdownDuringTraffic) {
   // Shutdown must resolve every outstanding call instead of hanging.
   auto cluster = std::make_unique<Cluster>();
   constexpr uint32_t kSlow = 1;
-  ComputeNode* node = cluster->AddNode();
-  node->RegisterHandler(kSlow, [&](const Message& m) {
+  ComputeNode* node = cluster->AddNode([&](const Message& m) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
     cluster->Respond(m, m.payload);
   });
-  node->Start();
   std::vector<std::future<Payload>> futures;
   for (int i = 0; i < 64; ++i) {
     futures.push_back(
