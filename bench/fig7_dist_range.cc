@@ -4,8 +4,18 @@
 // for 1/3/5/9 partitions, varying the tree size. Each partition hands
 // its border nodes' remote subtrees back to the caller, which runs
 // those subqueries in parallel (§III-B.4).
+//
+//   ./bench_fig7_dist_range [--smoke]
+//
+// `--smoke` runs the 5k and 10k sizes only, with trees built by one
+// inserting client, so its count columns repeat exactly between runs.
+// The full run builds with 8 concurrent clients, whose interleaving
+// varies the tree shape, and so the counts, from run to run. Any failed
+// insert or search aborts.
 
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
@@ -19,11 +29,14 @@ constexpr char kFigure[] = "fig7";
 constexpr size_t kQueries = 150;
 constexpr auto kLatency = std::chrono::microseconds(20);
 
-void Run() {
+void Run(bool smoke) {
   PrintHeader(kFigure, "Distributed Range Query Time",
               "points,query_us,avg_partitions_visited,msgs_per_query");
-  const size_t kSizes[] = {5000, 10000, 25000, 50000};
-  for (size_t n : kSizes) {
+  const std::vector<size_t> sizes =
+      smoke ? std::vector<size_t>{5000, 10000}
+            : std::vector<size_t>{5000, 10000, 25000, 50000};
+  const size_t clients = smoke ? 1 : 8;
+  for (size_t n : sizes) {
     Workload workload = MakeWorkload(n);
     auto queries = MakeQueries(workload, kQueries, /*seed=*/19);
     double radius = CalibrateRadius(workload, 0.01, /*seed=*/23);
@@ -38,9 +51,11 @@ void Run() {
       opts.network_latency = kLatency;
       auto tree = SemTree::Create(opts);
       if (!tree.ok()) std::abort();
-      if (!(*tree)->BulkInsert(workload.points, 8).ok()) std::abort();
+      if (!(*tree)->BulkInsert(workload.points, clients).ok()) std::abort();
 
-      for (const auto& q : queries) (void)(*tree)->RangeSearch(q, radius);
+      for (const auto& q : queries) {
+        if (!(*tree)->RangeSearch(q, radius).ok()) std::abort();  // Warm-up.
+      }
       Stopwatch sw;
       size_t visited = 0;
       uint64_t messages = 0;
@@ -66,7 +81,11 @@ void Run() {
 }  // namespace bench
 }  // namespace semtree
 
-int main() {
-  semtree::bench::Run();
+int main(int argc, char** argv) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  }
+  semtree::bench::Run(smoke);
   return 0;
 }

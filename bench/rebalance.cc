@@ -4,9 +4,9 @@
 // a *contiguously* clustered corpus concentrates nearly all traffic on
 // one data partition, and the bench measures saturation throughput
 // twice on identically bulk-loaded trees — once with the rebalancer
-// off (the hot partition's single worker thread is the ceiling) and
-// once with it on (splits spread the hot subtree over idle seats, so
-// concurrent queries pipeline across workers). Emits
+// off (the hot partition, whose handlers run one at a time, is the
+// ceiling) and once with it on (splits spread the hot subtree over
+// idle seats, so concurrent queries pipeline across partitions). Emits
 // BENCH_rebalance.json.
 //
 // Always a gate (exit 1 on violation), `--smoke` only shrinks sizes:

@@ -2,13 +2,16 @@
 
 #include "cluster/cluster.h"
 
+#include <algorithm>
 #include <thread>
 
 #include "common/logging.h"
 
 namespace semtree {
 
-Cluster::Cluster(ClusterOptions options) : latency_(options.latency) {
+Cluster::Cluster(ClusterOptions options)
+    : latency_(options.latency),
+      pool_(std::max(1u, std::thread::hardware_concurrency())) {
   if (latency_.count() > 0) {
     net_running_ = true;
     net_thread_ = std::thread([this]() { NetworkLoop(); });
@@ -20,7 +23,8 @@ Cluster::~Cluster() { Shutdown(); }
 ComputeNode* Cluster::AddNode(ComputeNode::Handler handler) {
   MutexLock lock(nodes_mu_);
   NodeId id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(std::make_unique<ComputeNode>(id, std::move(handler)));
+  nodes_.push_back(
+      std::make_unique<ComputeNode>(id, std::move(handler), &pool_));
   return nodes_.back().get();
 }
 
@@ -88,10 +92,13 @@ std::vector<std::future<Payload>> Cluster::CallAll(
 Result<Payload> Cluster::CallAndWait(NodeId target, uint32_t type,
                                      Payload payload, size_t approx_bytes,
                                      NodeId from) {
-  const bool run_here = !ComputeNode::InHandler();
+  if (ComputeNode::InHandler()) {
+    return Status::FailedPrecondition(
+        "a handler must not wait on another node");
+  }
   std::future<Payload> future = StartCall(
-      target, type, std::move(payload), approx_bytes, from, run_here);
-  if (run_here) ComputeNode::RunClaimed();
+      target, type, std::move(payload), approx_bytes, from, /*claim=*/true);
+  ComputeNode::RunClaimed();
   Payload response = future.get();  // Never throws: the Reply always sets.
   if (response == nullptr) {
     return Status::Unavailable("cluster shut down or nobody answered");
@@ -213,15 +220,14 @@ void Cluster::Shutdown() {
   net_cv_.NotifyAll();
   if (net_thread_.joinable()) {
     net_thread_.join();
-    // Under the lock: a late Route (e.g. a worker mid-Respond during
+    // Under the lock: a late Route (e.g. a handler mid-Respond during
     // teardown) reads net_running_ under net_mu_ and must see false so
     // it delivers inline instead of queueing to the dead thread.
     MutexLock lock(net_mu_);
     net_running_ = false;
   }
-  // Each node runs what it has queued, and a handler waiting on a
-  // nested call is answered by a node not yet stopped: the callee was
-  // created after its caller. Calls made from here on resolve at once.
+  // The pool runs what each node has queued. Calls made from here on
+  // resolve at once.
   std::vector<ComputeNode*> nodes;
   {
     MutexLock lock(nodes_mu_);

@@ -1,10 +1,11 @@
 // Copyright 2026 The SemTree Authors
 //
-// The simulated cluster: owns compute nodes, routes messages between
-// them with an injectable latency, and provides request/response calls
-// (RPC) with forwarding. This stands in for the paper's MPJ deployment
-// on an 8-processor cluster; the SemTree protocol code is identical
-// either way (see DESIGN.md §2).
+// The simulated cluster: owns compute nodes and the one thread pool
+// that runs them, routes messages between them with an injectable
+// latency, and provides request/response calls (RPC) with forwarding.
+// This stands in for the paper's MPJ deployment on an 8-processor
+// cluster; the SemTree protocol code is identical either way (see
+// DESIGN.md §2).
 
 #ifndef SEMTREE_CLUSTER_CLUSTER_H_
 #define SEMTREE_CLUSTER_CLUSTER_H_
@@ -21,6 +22,7 @@
 #include "cluster/message.h"
 #include "common/mutex.h"
 #include "common/result.h"
+#include "common/thread_pool.h"
 
 namespace semtree {
 
@@ -42,7 +44,9 @@ struct ClusterStats {
 ///
 /// Thread-safe: nodes can be added while the cluster runs (SemTree's
 /// build-partition allocates partitions at runtime), and any thread may
-/// Call/Forward/Respond.
+/// Call/Forward/Respond. Its threads are one pool of
+/// max(1, hardware_concurrency()) threads, however many nodes it has,
+/// plus the network thread when a latency is set.
 class Cluster {
  public:
   explicit Cluster(ClusterOptions options = {});
@@ -52,7 +56,7 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   /// Creates a node, with the next id, that runs `handler` for every
-  /// message it receives; its worker starts at once.
+  /// message it receives. It starts no thread: the pool runs it.
   ComputeNode* AddNode(ComputeNode::Handler handler);
 
   /// RPC: sends a request and returns a future resolved by the
@@ -74,17 +78,19 @@ class Cluster {
 
   /// Issues one RPC per entry and returns the futures in order: the
   /// fan-out primitive of a client that keeps many requests in flight
-  /// (SemTree's search loop, snapshot save). The node workers run every
-  /// call but the last, in parallel; outside a handler the calling
-  /// thread runs the last one itself when its node is idle
-  /// (compute_node.h). Waiting on the futures belongs to the caller; a
-  /// handler that waited on them would hold its node until they answer.
+  /// (SemTree's search loop, snapshot save). The pool runs every call
+  /// but the last, in parallel; outside a handler the calling thread
+  /// runs the last one itself when its node is idle (compute_node.h).
+  /// Waiting on the futures belongs to the caller; a handler must not
+  /// wait on them (compute_node.h).
   std::vector<std::future<Payload>> CallAll(std::vector<OutboundCall> calls,
                                             NodeId from = kClientNode);
 
   /// Blocking RPC convenience; surfaces shutdown, or a request nobody
-  /// answered (Call), as Unavailable. Outside a handler the calling
-  /// thread runs the target itself when it is idle (compute_node.h).
+  /// answered (Call), as Unavailable. The calling thread runs the
+  /// target itself when it is idle (compute_node.h). From inside a
+  /// handler it sends nothing and fails with FailedPrecondition: a
+  /// handler must not wait on another node.
   Result<Payload> CallAndWait(NodeId target, uint32_t type,
                               Payload payload, size_t approx_bytes = 64,
                               NodeId from = kClientNode);
@@ -104,7 +110,8 @@ class Cluster {
 
   /// Stops the network thread, then every node once it has run the
   /// messages already queued. Calls made afterwards resolve at once
-  /// with null payloads. Idempotent; called by the destructor.
+  /// with null payloads. The pool lives until the destructor, which
+  /// destroys the nodes first. Idempotent; called by the destructor.
   void Shutdown();
 
   ClusterStats Stats() const;
@@ -127,6 +134,10 @@ class Cluster {
   void Account(const Message& msg);
 
   const std::chrono::microseconds latency_;
+
+  // Runs every node no sender claimed. Declared before nodes_, so that
+  // it outlives them.
+  ThreadPool pool_;
 
   // Guards the node registry only; nodes are append-only and the
   // pointers handed out stay valid for the cluster's lifetime.

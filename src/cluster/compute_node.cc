@@ -2,6 +2,8 @@
 
 #include "cluster/compute_node.h"
 
+#include "common/thread_pool.h"
+
 namespace semtree {
 
 namespace {
@@ -12,20 +14,15 @@ thread_local bool t_in_handler = false;
 
 }  // namespace
 
-ComputeNode::ComputeNode(NodeId id, Handler handler)
-    : id_(id), handler_(std::move(handler)), worker_([this]() {
-        WorkerLoop();
-      }) {}
+ComputeNode::ComputeNode(NodeId id, Handler handler, ThreadPool* pool)
+    : id_(id), handler_(std::move(handler)), pool_(pool) {}
 
 ComputeNode::~ComputeNode() { Stop(); }
 
 void ComputeNode::Stop() {
-  {
-    MutexLock lock(mu_);
-    stopped_ = true;
-  }
-  cv_.NotifyOne();
-  if (worker_.joinable()) worker_.join();
+  MutexLock lock(mu_);
+  stopped_ = true;
+  while (running_ || scheduled_) released_.Wait(mu_);
 }
 
 bool ComputeNode::Deliver(Message msg, bool claim) {
@@ -39,9 +36,30 @@ bool ComputeNode::Deliver(Message msg, bool claim) {
       t_claimed = this;
       return true;
     }
+    if (scheduled_) return true;
+    scheduled_ = true;
   }
-  cv_.NotifyOne();
+  Schedule();
   return true;
+}
+
+void ComputeNode::Schedule() {
+  // The pool outlives the node, and Stop waits for the task, so the
+  // task never outlives the node either.
+  pool_->TrySubmit([this]() {
+    {
+      MutexLock lock(mu_);
+      scheduled_ = false;
+      // A sender may have claimed the node, and drained it, meanwhile.
+      if (running_ || queue_.empty()) {
+        if (stopped_) released_.NotifyAll();
+        return;
+      }
+      running_ = true;
+    }
+    Drain();
+    RunClaimed();
+  });
 }
 
 void ComputeNode::RunClaimed() {
@@ -53,31 +71,22 @@ void ComputeNode::RunClaimed() {
 
 bool ComputeNode::InHandler() { return t_in_handler; }
 
-void ComputeNode::WorkerLoop() {
-  for (;;) {
-    {
-      MutexLock lock(mu_);
-      // While another thread holds running_, it drains the queue.
-      while (running_ || (queue_.empty() && !stopped_)) cv_.Wait(mu_);
-      if (queue_.empty()) return;  // Stopped, drained and released.
-      running_ = true;
-    }
-    Drain();
-    RunClaimed();
-  }
-}
-
 void ComputeNode::Drain() {
   for (;;) {
     Message msg;
     {
       MutexLock lock(mu_);
       // A thread runs one node at a time, so a handler's claim on
-      // another node releases this one, to its worker if work is left.
+      // another node releases this one, to the pool if work is left.
       if (queue_.empty() || t_claimed != nullptr) {
         running_ = false;
-        // A stopping worker waits for this release.
-        if (!queue_.empty() || stopped_) cv_.NotifyOne();
+        if (!queue_.empty() && !scheduled_) {
+          scheduled_ = true;
+          break;
+        }
+        // Under the lock: once Stop sees the flags cleared, the node
+        // may be destroyed.
+        if (stopped_) released_.NotifyAll();
         return;
       }
       msg = std::move(queue_.front());
@@ -85,6 +94,7 @@ void ComputeNode::Drain() {
     }
     Dispatch(msg);
   }
+  Schedule();
 }
 
 void ComputeNode::Dispatch(const Message& msg) {

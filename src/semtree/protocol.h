@@ -179,6 +179,10 @@ struct StatsResponse {
 // total is the caller's to account.
 struct BulkBuildRequest {
   PointBlock block;
+  // The root node the subtree must take, or -1 for whichever the
+  // target picks. Build-partition links the moved leaf's parent to it
+  // before the target has run.
+  int32_t root = -1;
 };
 struct BulkBuildResponse {
   int32_t root_node = -1;
@@ -220,8 +224,8 @@ struct RestoreResponse {
 // ---- Rebalance protocol (DESIGN.md §12) ----
 //
 // All rebalance requests are issued by the client-side coordinator
-// (SemTree::RebalanceTick), never from inside a handler, so they add
-// no nested-call edges to the partition DAG and cannot deadlock.
+// (SemTree::RebalanceTick), never from inside a handler: no handler
+// waits on another node (compute_node.h).
 
 // Source-side split: copy the fully-local subtree under `root`, cut
 // its points with ChooseSplitForPolicy, and return the two halves as

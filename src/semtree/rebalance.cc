@@ -22,10 +22,9 @@
 // are removed from the halves.
 //
 // Deadlock-freedom: rebalance RPCs are only ever issued from the
-// coordinator thread, never from inside a handler, so they add no
-// nested-call edges; the coordinator may run their handlers itself
-// (compute_node.h). (No search handler waits either; the one handler
-// that does is build-partition, whose bulk-build callees call nobody.)
+// coordinator thread, never from inside a handler, and no handler
+// waits on another node; the coordinator may run their handlers itself
+// (compute_node.h).
 //
 // Seat order: the halves always land on fresh seats, which take the
 // highest ids, so every routing edge keeps pointing from a lower to a

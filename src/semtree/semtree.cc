@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <set>
 
 #include "common/logging.h"
@@ -264,9 +265,10 @@ size_t SemTree::PartitionCount() const {
 }
 
 bool SemTree::IsSaturated(const Partition& part) const {
-  PartitionStats stats = part.Stats();
-  if (options_.saturation) return options_.saturation(stats);
-  return stats.points >= options_.partition_capacity;
+  // Stats() walks the partition; the static condition needs only the
+  // point count.
+  if (options_.saturation) return options_.saturation(part.Stats());
+  return part.points() >= options_.partition_capacity;
 }
 
 void SemTree::Handle(Partition* p, const Message& msg) {
@@ -365,7 +367,19 @@ Status SemTree::Insert(const std::vector<double>& coords, PointId id) {
             resp.partition, kBuildPartitionMsg,
             MakePayload<BuildPartitionRequest>(BuildPartitionRequest{}),
             32));
-    (void)build;
+    // The handler shipped the moved leaves without waiting. Each new
+    // partition's FIFO queue runs its stats request after those builds,
+    // so once every answer is in, the move is complete.
+    std::vector<Cluster::OutboundCall> calls;
+    for (int32_t q : PayloadAs<BuildPartitionResponse>(build).new_partitions) {
+      calls.push_back(Cluster::OutboundCall{
+          q, kStatsMsg, MakePayload<StatsRequest>(StatsRequest{}), 16});
+    }
+    for (std::future<Payload>& f : cluster_->CallAll(std::move(calls))) {
+      if (f.get() == nullptr) {
+        return Status::Unavailable("cluster shut down during build-partition");
+      }
+    }
   }
   return Status::OK();
 }
@@ -511,24 +525,32 @@ void SemTree::HandleBuildPartition(Partition* p, const Message& msg) {
         if (p->node(loc.leaf).bucket.empty()) continue;
         movable.push_back(loc);
       }
+      // Leaves shipped to each target so far. A fresh partition adopts
+      // its first subtree as its root, node 0, and each later one as a
+      // new root at the end of its arena; a one-leaf subtree adds no
+      // other node, so the k-th leaf shipped to it (from 0) becomes its
+      // node k (HandleBulkBuild checks this).
+      std::vector<int32_t> shipped(targets.size(), 0);
       for (size_t i = 0; i < movable.size(); ++i) {
         const Partition::LeafLocation& loc = movable[i];
-        int32_t q = targets[i * targets.size() / movable.size()];
+        size_t t = i * targets.size() / movable.size();
+        int32_t q = targets[t];
         // One contiguous coordinate block per migrated leaf (Fig. 2).
         // It holds at most bucket_size points or only duplicates, so the
         // target's balanced build makes it one leaf, rows in order.
         BulkBuildRequest leaf;
         leaf.block = p->ExtractLeafBlock(loc.leaf);
+        leaf.root = shipped[t]++;
+        ChildRef link{q, leaf.root};
         size_t moved = leaf.block.size();
         size_t bytes = leaf.block.ApproxBytes();
-        auto built = cluster_->CallAndWait(
-            q, kBulkBuildMsg, MakePayload<BulkBuildRequest>(std::move(leaf)),
-            bytes, p->id());
-        if (!built.ok()) break;
-        auto& bresp = PayloadAs<BulkBuildResponse>(*built);
+        // Not awaited: the target's FIFO queue runs the build before
+        // anything this partition forwards to it through the new link.
+        cluster_->Call(q, kBulkBuildMsg,
+                       MakePayload<BulkBuildRequest>(std::move(leaf)), bytes,
+                       p->id());
         // Install the direct link between the partitions (Fig. 2).
         Partition::PNode& parent = p->node(loc.parent);
-        ChildRef link{q, bresp.root_node};
         (loc.is_left ? parent.left : parent.right) = link;
         p->node(loc.leaf).is_dead = true;
         p->RemovePoints(moved);
@@ -547,6 +569,13 @@ void SemTree::HandleBuildPartition(Partition* p, const Message& msg) {
 void SemTree::HandleBulkBuild(Partition* p, const Message& msg) {
   auto& req = PayloadAs<BulkBuildRequest>(msg.payload);
   int32_t root = p->AdoptRoot();
+  if (req.root >= 0 && root != req.root) {
+    // The sender's parent link already names req.root: building
+    // anywhere else would cut the moved points off the tree.
+    SEMTREE_LOG(Error) << "partition " << p->id() << " adopted node "
+                       << root << ", but the sender linked " << req.root;
+    std::abort();
+  }
   BulkBuildOptions build;
   build.policy = options_.split_policy;
   build.build_threads = options_.build_threads;
@@ -723,14 +752,16 @@ Status SemTree::BulkLoadBalanced(PointBlock points) {
     return Status::OK();
   }
 
-  // One new partition per region; dispatch the balanced builds in
-  // parallel, one contiguous block per region.
+  // One new partition per region, one contiguous block per region.
+  // Each region goes to the pool as soon as it is gathered, and the
+  // calling thread builds the last one itself.
   struct PendingRegion {
     int32_t partition;
     std::future<Payload> future;
   };
   std::vector<PendingRegion> pending;
   pending.reserve(splitter.regions.size());
+  std::vector<ChildRef> region_refs(splitter.regions.size());
   for (size_t r = 0; r < splitter.regions.size(); ++r) {
     int32_t q = CreatePartition();
     if (q < 0) {
@@ -740,12 +771,17 @@ Status SemTree::BulkLoadBalanced(PointBlock points) {
     BulkBuildRequest req;
     req.block = splitter.GatherRegion(r);
     size_t bytes = req.block.ApproxBytes();
-    pending.push_back(PendingRegion{
-        q, cluster_->Call(q, kBulkBuildMsg,
-                          MakePayload<BulkBuildRequest>(std::move(req)),
-                          bytes)});
+    Payload payload = MakePayload<BulkBuildRequest>(std::move(req));
+    if (r + 1 < splitter.regions.size()) {
+      pending.push_back(PendingRegion{
+          q, cluster_->Call(q, kBulkBuildMsg, std::move(payload), bytes)});
+      continue;
+    }
+    SEMTREE_ASSIGN_OR_RETURN(
+        Payload built,
+        cluster_->CallAndWait(q, kBulkBuildMsg, std::move(payload), bytes));
+    region_refs[r] = ChildRef{q, PayloadAs<BulkBuildResponse>(built).root_node};
   }
-  std::vector<ChildRef> region_refs(pending.size());
   for (size_t r = 0; r < pending.size(); ++r) {
     Payload payload = pending[r].future.get();
     if (payload == nullptr) {
@@ -950,8 +986,9 @@ Result<std::unique_ptr<SemTree>> SemTree::LoadFrom(
   SEMTREE_ASSIGN_OR_RETURN(uint64_t bucket_size, in->U64());
   SEMTREE_ASSIGN_OR_RETURN(uint64_t total_points, in->U64());
   SEMTREE_ASSIGN_OR_RETURN(uint64_t partition_count, in->U64());
-  // Each partition gets a compute node (thread); a crafted count must
-  // not exhaust the host before the blobs are even looked at.
+  // Each partition gets a compute node and its Partition; a crafted
+  // count must not exhaust the host before the blobs are even looked
+  // at.
   if (partition_count == 0 || partition_count > (1u << 16)) {
     return Status::Corruption("snapshot partition count implausible");
   }

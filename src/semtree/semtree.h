@@ -268,9 +268,11 @@ class SemTree {
 
   /// Reassembles a saved tree: partitions (and their compute nodes)
   /// are recreated and every blob ships back to its node for restore —
-  /// no re-insertion, no rebuild. `runtime` supplies the deployment
-  /// knobs (latency, saturation, extra partition headroom);
-  /// dimensions and bucket size come from the snapshot.
+  /// no re-insertion, no rebuild. A compute node owns no thread, so
+  /// the snapshot's partition count does not set the thread count.
+  /// `runtime` supplies the deployment knobs (latency, saturation,
+  /// extra partition headroom); dimensions and bucket size come from
+  /// the snapshot.
   static Result<std::unique_ptr<SemTree>> LoadFrom(
       persist::ByteReader* in, SemTreeOptions runtime = {});
 

@@ -1,12 +1,15 @@
 // Copyright 2026 The SemTree Authors
 //
 // Tests for the simulated cluster: RPC, forwarding, replies that travel
-// with their request, which thread runs a node's handler, the latency
-// model and shutdown semantics.
+// with their request, which thread runs a node's handler, how many
+// threads a cluster starts, the latency model and shutdown semantics.
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <fstream>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -56,26 +59,27 @@ TEST(ClusterTest, ManyConcurrentCalls) {
   EXPECT_EQ(node->processed(), 500u);
 }
 
-TEST(ClusterTest, NestedCallsAcrossNodes) {
-  // Node A relays to node B and augments the answer: exercises blocking
-  // a worker on a downstream RPC. In SemTree only build-partition does
-  // this, sending each moved leaf's bulk build to fresh partitions that
-  // call nobody.
+TEST(ClusterTest, CallAndWaitFromAHandlerFailsAtOnce) {
+  // A handler must not wait on another node: its CallAndWait sends
+  // nothing and fails at once, and the handler still answers its own
+  // caller.
   Cluster cluster;
   ComputeNode* b = cluster.AddNode([&cluster](const Message& m) {
-    cluster.Respond(m, MakePayload<int>(PayloadAs<int>(m.payload) + 1));
+    cluster.Respond(m, m.payload);
   });
   NodeId b_id = b->id();
   ComputeNode* a = cluster.AddNode([&cluster, b_id](const Message& m) {
-    auto inner = cluster.CallAndWait(b_id, kAddOne, m.payload, 8,
-                                     m.to);
-    ASSERT_TRUE(inner.ok());
-    cluster.Respond(m, MakePayload<int>(PayloadAs<int>(*inner) * 10));
+    Status inner =
+        cluster.CallAndWait(b_id, kAddOne, m.payload, 8, m.to).status();
+    cluster.Respond(m, MakePayload<Status>(inner));
   });
 
   auto result = cluster.CallAndWait(a->id(), kRelay, MakePayload<int>(4));
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(PayloadAs<int>(*result), 50);  // (4+1)*10
+  EXPECT_TRUE(PayloadAs<Status>(*result).IsFailedPrecondition())
+      << PayloadAs<Status>(*result).ToString();
+  EXPECT_EQ(b->processed(), 0u);
+  EXPECT_EQ(cluster.Stats().calls, 1u);  // The outer call only.
 }
 
 TEST(ClusterTest, ForwardPreservesCorrelation) {
@@ -176,6 +180,38 @@ TEST(ClusterTest, ShutdownIsIdempotent) {
 
 constexpr uint32_t kProbe = 4;
 
+// This process's thread count, from /proc/self/status; -1 if unread.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::atoi(line.c_str() + 8);
+  }
+  return -1;
+}
+
+TEST(ComputeNodeTest, AddingNodesStartsNoThread) {
+  // The cluster's pool is sized to the cores when the cluster is built;
+  // a node is a queue and two flags, so 64 of them, all busy at once,
+  // run on the same threads.
+  Cluster cluster;
+  const int before = ProcessThreads();
+  ASSERT_GT(before, 0);
+  std::vector<ComputeNode*> nodes;
+  for (int i = 0; i < 64; ++i) {
+    nodes.push_back(cluster.AddNode([&cluster](const Message& m) {
+      cluster.Respond(m, m.payload);
+    }));
+  }
+  EXPECT_LE(ProcessThreads(), before);
+  std::vector<std::future<Payload>> futures;
+  for (ComputeNode* n : nodes) {
+    futures.push_back(cluster.Call(n->id(), kEcho, MakePayload<int>(1)));
+  }
+  for (std::future<Payload>& f : futures) ASSERT_NE(f.get(), nullptr);
+  EXPECT_LE(ProcessThreads(), before);
+}
+
 TEST(ComputeNodeTest, CallAndWaitRunsIdleNodeOnCaller) {
   Cluster cluster;
   std::thread::id a_ran_on;
@@ -196,7 +232,7 @@ TEST(ComputeNodeTest, CallAndWaitRunsIdleNodeOnCaller) {
   EXPECT_EQ(b_ran_on, std::this_thread::get_id());
 }
 
-TEST(ComputeNodeTest, NetworkThreadDeliveriesRunOnTheWorker) {
+TEST(ComputeNodeTest, NetworkThreadDeliveriesRunOnThePool) {
   ClusterOptions opts;
   opts.latency = std::chrono::microseconds(1);
   Cluster cluster(opts);
@@ -213,7 +249,7 @@ TEST(ComputeNodeTest, NetworkThreadDeliveriesRunOnTheWorker) {
 
 TEST(ComputeNodeTest, OneHandlerAtATimeInFifoOrderPerSender) {
   // Four clients drive a four-node forwarding ring, mixing async calls
-  // (run by the workers) with blocking ones (run by the caller when the
+  // (run by the pool) with blocking ones (run by the caller when the
   // start node is idle), so every node is run by several threads.
   constexpr int kNodes = 4;
   constexpr int kClients = 4;
@@ -332,7 +368,8 @@ TEST(ComputeNodeTest, StopRunsQueuedMessagesAndDropsLaterOnes) {
     }
     work_ran.fetch_add(1);
   });
-  // The worker blocks in the first handler; four more wait behind it.
+  // A pool thread blocks in the first handler; four more wait behind
+  // it.
   for (int i = 0; i < 5; ++i) cluster.Call(node->id(), kEcho, nullptr);
   while (!entered.load()) std::this_thread::yield();
   std::thread stopper([node]() { node->Stop(); });

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -155,7 +156,12 @@ TEST(SemTreeTest, BuildPartitionLayoutIsGolden) {
   // Captured when moved leaves had their own adopt-leaf message.
   const std::vector<size_t> kGoldenPoints = {0, 634, 639, 590, 551, 586};
   const uint64_t kGoldenHash = 4618166591431932052ull;
-  const std::vector<uint64_t> kGoldenNetwork = {8744, 433440, 3072, 2600};
+  // {messages, bytes, calls, forwards}. Since build-partition ships its
+  // leaves without waiting, the Insert that triggered it waits for one
+  // stats round over the 5 new partitions: 5 calls, 10 messages and
+  // 5 * (16 + sizeof(PartitionStats)) = 480 bytes more than
+  // {8744, 433440, 3072, 2600}.
+  const std::vector<uint64_t> kGoldenNetwork = {8754, 433920, 3077, 2600};
   for (SplitPolicy policy :
        {SplitPolicy::kMedian, SplitPolicy::kCentroid}) {
     SCOPED_TRACE(SplitPolicyName(policy));
@@ -183,6 +189,91 @@ TEST(SemTreeTest, BuildPartitionLayoutIsGolden) {
     EXPECT_EQ(per_partition, kGoldenPoints);
     EXPECT_TRUE((*tree)->CheckInvariants().ok());
   }
+}
+
+// Build-partition ships each moved leaf to its new partition without
+// waiting, and links the leaf's parent to the root that partition will
+// give it. Nothing may overtake a shipment: the new partition's FIFO
+// queue runs the build before anything forwarded through the new link.
+// One writer inserts the points one at a time and finds each one right
+// after its Insert returns; two readers meanwhile compare k-NN answers
+// with a linear scan over the points inserted before each query. The
+// latency model's network thread delivers every message.
+TEST(SemTreeTest, NothingOvertakesAMovedLeaf) {
+  constexpr size_t kDims = 4;
+  constexpr size_t kPoints = 2000;
+  constexpr size_t kK = 5;
+  SemTreeOptions opts;
+  opts.dimensions = kDims;
+  opts.bucket_size = 8;
+  opts.max_partitions = 6;
+  opts.partition_capacity = 200;
+  opts.network_latency = std::chrono::microseconds(20);
+  auto tree = SemTree::Create(opts);
+  ASSERT_TRUE(tree.ok());
+  const std::vector<KdPoint> points = RandomPoints(kPoints, kDims, 59);
+  std::atomic<size_t> inserted{0};  // Points whose Insert has returned.
+
+  std::thread writer([&]() {
+    auto insert_all = [&]() {
+      for (const KdPoint& p : points) {
+        ASSERT_TRUE((*tree)->Insert(p.coords, p.id).ok());
+        inserted.store(p.id + 1);
+        auto hit = (*tree)->KnnSearch(p.coords, 1);
+        ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+        ASSERT_EQ(hit->size(), 1u) << "point " << p.id;
+        ASSERT_EQ((*hit)[0].id, p.id);
+        ASSERT_EQ((*hit)[0].distance, 0.0);
+      }
+    };
+    insert_all();
+    inserted.store(kPoints);  // Releases the readers after a failure too.
+  });
+  auto reader = [&](uint64_t seed) {
+    Rng rng(seed);
+    LinearScanIndex scan(kDims);
+    size_t scanned = 0;
+    for (size_t before; (before = inserted.load()) < kPoints;) {
+      if (before == 0) {
+        std::this_thread::yield();
+        continue;
+      }
+      const std::vector<double>& query = points[rng.Uniform(before)].coords;
+      auto knn = (*tree)->KnnSearch(query, kK);
+      const size_t after = inserted.load();
+      ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+      for (; scanned < before; ++scanned) {
+        ASSERT_TRUE(scan.Insert(points[scanned].coords, scanned).ok());
+      }
+      // Points inserted while the query ran (ids up to `after`, the one
+      // in flight) may join the answer and push older ones out; the
+      // older ones left must be the linear scan's nearest.
+      std::vector<Neighbor> older;
+      for (const Neighbor& n : *knn) {
+        if (n.id < before) {
+          older.push_back(n);
+        } else {
+          ASSERT_LE(n.id, after);
+        }
+      }
+      ASSERT_LE(knn->size(), kK);
+      // Not full: every point inserted before the query is in it.
+      if (knn->size() < kK) {
+        ASSERT_EQ(older.size(), before);
+      }
+      std::vector<Neighbor> expected = scan.KnnSearch(query, kK);
+      expected.resize(older.size());
+      ASSERT_EQ(older, expected);
+    }
+  };
+  std::thread reader_a(reader, 61);
+  std::thread reader_b(reader, 67);
+  writer.join();
+  reader_a.join();
+  reader_b.join();
+  EXPECT_EQ((*tree)->PartitionCount(), 6u);
+  EXPECT_EQ((*tree)->size(), kPoints);
+  EXPECT_TRUE((*tree)->CheckInvariants().ok());
 }
 
 TEST(SemTreeTest, SearchItemBytesChargesEachFrameItsOwnFields) {
