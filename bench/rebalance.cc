@@ -305,7 +305,6 @@ int Main(int argc, char** argv) {
   json.AddInt("merges", dbg.rebalance.merges);
   json.AddInt("migrations", dbg.rebalance.migrations);
   json.AddInt("points_moved", dbg.rebalance.points_moved);
-  json.AddInt("strands_reinserted", dbg.rebalance.strands_reinserted);
   json.AddInt("partitions", dbg.partitions.size());
   json.BeginRecord();
   json.AddStr("record", "summary");

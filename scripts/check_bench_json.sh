@@ -117,7 +117,7 @@ if bench == "rebalance":
     numeric(one("run", mode="on"), "run[on]", run_fields)
     numeric(one("rebalance"), "rebalance",
             ("ticks", "splits", "merges", "migrations", "points_moved",
-             "strands_reinserted", "partitions"))
+             "partitions"))
     summary = one("summary")
     numeric(summary, "summary",
             ("throughput_ratio", "identical", "invariants_ok",

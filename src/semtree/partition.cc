@@ -48,16 +48,19 @@ void Partition::SplitLeafIfNeeded(int32_t leaf) {
   n.right = ChildRef{id_, right};
 }
 
-int32_t Partition::AdoptRoot() {
+std::vector<int32_t> Partition::AdoptRoots(size_t count) {
+  std::vector<int32_t> out;
   // Reuse the pristine initial root so adopted partitions do not keep
   // an orphan empty leaf around.
-  if (points_ == 0 && roots_.size() == 1 && nodes_.size() == 1 &&
+  if (count > 0 && points_ == 0 && roots_.size() == 1 && nodes_.size() == 1 &&
       nodes_[0].is_leaf && !nodes_[0].is_dead && nodes_[0].bucket.empty()) {
-    return roots_[0];
+    out.push_back(roots_[0]);
   }
-  int32_t root = NewLeaf();
-  roots_.push_back(root);
-  return root;
+  while (out.size() < count) {
+    out.push_back(NewLeaf());
+    roots_.push_back(out.back());
+  }
+  return out;
 }
 
 PointBlock Partition::ExtractLeafBlock(int32_t leaf) {

@@ -53,7 +53,7 @@ struct PartitionStats {
   /// partition-local rebuilds and warm restarts.
   double load_ops = 0.0;
   double load_distances = 0.0;
-  /// Splits installed on this seat as their source; the seats that
+  /// Splits this seat made as their source; the seats that
   /// receive the halves do not count them.
   uint64_t rebalances = 0;
 
@@ -114,10 +114,12 @@ class Partition {
   const std::vector<int32_t>& roots() const { return roots_; }
   int32_t root_node() const { return roots_[0]; }
 
-  /// Registers a fresh leaf as an additional subtree root (adoption
-  /// target) and returns its index. Reuses the initial empty root when
-  /// this partition has never stored anything.
-  int32_t AdoptRoot();
+  /// Registers `count` fresh leaves as additional subtree roots
+  /// (adoption targets) and returns their indexes, in order. The first
+  /// reuses the initial empty root when this partition has never
+  /// stored anything, so a fresh partition adopts the roots 0 ..
+  /// count-1.
+  std::vector<int32_t> AdoptRoots(size_t count);
   PNode& node(int32_t idx) { return nodes_[static_cast<size_t>(idx)]; }
   const PNode& node(int32_t idx) const {
     return nodes_[static_cast<size_t>(idx)];
@@ -243,7 +245,7 @@ class Partition {
   std::vector<PNode> nodes_;
   std::vector<int32_t> roots_;
   size_t points_ = 0;
-  // Decayed load counters + split-install count (DESIGN.md §12).
+  // Decayed load counters + split count (DESIGN.md §12).
   // Worker-thread confined, like everything above.
   double load_ops_ = 0.0;
   double load_distances_ = 0.0;

@@ -37,9 +37,10 @@ constexpr uint32_t kSnapshotMsg = 11;
 constexpr uint32_t kRestoreMsg = 12;
 // Online rebalancing (DESIGN.md §12).
 constexpr uint32_t kSplitMsg = 13;
-constexpr uint32_t kInstallSplitMsg = 19;
 
-struct InsertRequest {
+// The request of both point operations, kInsertMsg and kRemoveMsg: the
+// point, and the node of the receiving partition its walk starts at.
+struct PointRequest {
   int32_t start_node = 0;
   KdPoint point;
 };
@@ -48,10 +49,6 @@ struct InsertResponse {
   bool saturated = false;
   int32_t partition = -1;
   std::string error;
-};
-struct RemoveRequest {
-  int32_t start_node = 0;
-  KdPoint point;
 };
 struct RemoveResponse {
   bool found = false;
@@ -173,19 +170,21 @@ struct StatsResponse {
   PartitionStats stats;
   std::vector<SubtreeInfo> subtrees;  // Only when include_subtrees.
 };
-// Builds a balanced subtree over the block under a fresh root of the
-// target partition: one region of a bulk load, one leaf moved by
-// build-partition, or one half of a split (DESIGN.md §12). The tree
-// total is the caller's to account.
+// Builds one balanced subtree per block, each under a fresh root of
+// the target partition: one region of a bulk load, one leaf moved by
+// build-partition, or the halves of a split (DESIGN.md §12). The target
+// adopts a root for every block before it builds any, so a fresh
+// partition gives n blocks the roots 0 .. n-1. The tree total is the
+// caller's to account.
 struct BulkBuildRequest {
-  PointBlock block;
-  // The root node the subtree must take, or -1 for whichever the
-  // target picks. Build-partition links the moved leaf's parent to it
-  // before the target has run.
-  int32_t root = -1;
+  std::vector<PointBlock> blocks;
+  // The roots the subtrees must take, one per block, or empty for
+  // whichever the target picks. Build-partition and the split link to
+  // them before the target has run.
+  std::vector<int32_t> roots;
 };
 struct BulkBuildResponse {
-  int32_t root_node = -1;
+  std::vector<int32_t> roots;  // One per block.
 };
 // One routing node of the client-computed top-level skeleton. A child
 // is either another skeleton node (index >= 0) or an already-built
@@ -223,42 +222,25 @@ struct RestoreResponse {
 
 // ---- Rebalance protocol (DESIGN.md §12) ----
 //
-// All rebalance requests are issued by the client-side coordinator
-// (SemTree::RebalanceTick), never from inside a handler: no handler
-// waits on another node (compute_node.h).
+// The split is the one rebalance request, sent by the client-side
+// coordinator (SemTree::RebalanceTick). Like build-partition, its
+// handler ships what it moves without waiting: no handler waits on
+// another node (compute_node.h).
 
-// Source-side split: copy the fully-local subtree under `root`, cut
-// its points with ChooseSplitForPolicy, and return the two halves as
-// contiguous blocks. Nothing is mutated: the subtree keeps serving
-// until the install drains it.
+// Moves the fully-local subtree under `root` onto fresh seats in one
+// activation of the source: cuts its points with ChooseSplitForPolicy,
+// ships each half to a seat as an unawaited bulk build, and turns
+// `root` into the routing node over the halves' roots.
 struct SplitRequest {
   int32_t root = -1;
   SplitPolicy policy = SplitPolicy::kMedian;
 };
 struct SplitResponse {
-  bool ok = false;
-  std::string error;
-  uint32_t split_dim = 0;
-  double split_value = 0.0;
-  PointBlock left;
-  PointBlock right;
-};
-
-// Final step of a split: drain the subtree under `node` and convert
-// `node` into a routing node over the two adopted halves, in one
-// activation. The drained points come back so the coordinator can
-// reconcile the writes that landed since the copy.
-struct InstallSplitRequest {
-  int32_t node = -1;
-  uint32_t split_dim = 0;
-  double split_value = 0.0;
-  ChildRef left;
-  ChildRef right;
-};
-struct InstallSplitResponse {
-  bool ok = false;
-  std::string error;
-  PointBlock points;  // The drained subtree's points.
+  // The seats the halves went to, in creation order: one when both
+  // halves share the last seat. Empty when nothing was split, and then
+  // nothing was mutated.
+  std::vector<int32_t> seats;
+  uint64_t points_moved = 0;
 };
 
 inline size_t PointBytes(size_t dims) { return dims * sizeof(double) + 16; }

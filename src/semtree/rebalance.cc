@@ -5,25 +5,23 @@
 // The coordinator runs client-side (RebalanceTick, optionally driven
 // by a background thread): it reads the decayed per-partition load
 // counters in one stats round and splits at most ONE subtree per
-// tick. The hottest overloaded partition copies its largest
-// fully-local subtree, the copy is cut with ChooseSplitForPolicy, the
-// two halves are built on fresh seats (shipped as PointBlocks in the
-// bulk-build message), and only then is the subtree drained and its
-// root turned into a routing node over the two new halves. Like the
-// paper's build-partition (§III-B.1, Fig. 2), the partitioning only
-// ever grows: nothing is merged back and no seat is freed.
+// tick. The hottest overloaded partition moves its largest
+// fully-local subtree in one activation, the way build-partition moves
+// leaves (§III-B.1, Fig. 2): it cuts the points with
+// ChooseSplitForPolicy, creates the seats, ships each half to a seat as
+// an unawaited bulk build, and turns the subtree root into the routing
+// node over the halves' roots. The partitioning only ever grows:
+// nothing is merged back and no seat is freed.
 //
-// Readers are never stopped. Every handler-side mutation happens in
-// ONE handler activation of the owning compute node, so concurrent
-// traversals observe either the old or the new structure; frames
-// captured across the install hit dead nodes and are dropped. The
-// writes that land between the copy and the install are reconciled by
-// the coordinator: new points are re-inserted as strands, removed ones
-// are removed from the halves.
+// Readers and writers are never stopped. The split mutates the source
+// in one handler activation, so concurrent operations see either the
+// old subtree or the new routing node, and the seats' FIFO queues run
+// the builds before anything that reaches them through the new links
+// (DESIGN.md §2). Frames captured inside the subtree hit dead nodes
+// and are dropped.
 //
-// Deadlock-freedom: rebalance RPCs are only ever issued from the
-// coordinator thread, never from inside a handler, and no handler
-// waits on another node; the coordinator may run their handlers itself
+// Deadlock-freedom: the coordinator waits on the split's answer and on
+// one stats round over the seats, and no handler waits on another node
 // (compute_node.h).
 //
 // Seat order: the halves always land on fresh seats, which take the
@@ -32,7 +30,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -74,41 +72,6 @@ class EpochWindow {
   std::atomic<uint64_t>& epoch_;
 };
 
-// Copies the points behind `slots` out of `store` into one block.
-PointBlock GatherSlots(const PointStore& store,
-                       const std::vector<PointStore::Slot>& slots) {
-  PointBlock block(store.dimensions());
-  block.Reserve(slots.size());
-  for (PointStore::Slot s : slots) {
-    block.Append(store.CoordsAt(s), store.IdAt(s));
-  }
-  return block;
-}
-
-// The rows of `a` that `b` lacks, matching rows by id and coordinates
-// as multisets.
-PointBlock RowsMissingFrom(const PointBlock& a, const PointBlock& b) {
-  auto less = [&](const PointView& x, const PointView& y) {
-    if (x.id != y.id) return x.id < y.id;
-    return std::lexicographical_compare(x.coords, x.coords + x.dim,
-                                        y.coords, y.coords + y.dim);
-  };
-  auto sorted = [&](const PointBlock& block) {
-    std::vector<PointView> rows;
-    for (size_t i = 0; i < block.size(); ++i) rows.push_back(block.View(i));
-    std::sort(rows.begin(), rows.end(), less);
-    return rows;
-  };
-  const std::vector<PointView> ra = sorted(a);
-  const std::vector<PointView> rb = sorted(b);
-  std::vector<PointView> only;
-  std::set_difference(ra.begin(), ra.end(), rb.begin(), rb.end(),
-                      std::back_inserter(only), less);
-  PointBlock out(a.dimensions);
-  for (const PointView& v : only) out.Append(v.coords, v.id);
-  return out;
-}
-
 }  // namespace
 
 // --------------------------------------------------------------------
@@ -118,28 +81,21 @@ PointBlock RowsMissingFrom(const PointBlock& a, const PointBlock& b) {
 void SemTree::HandleSplit(Partition* p, const Message& msg) {
   auto& req = PayloadAs<SplitRequest>(msg.payload);
   SplitResponse resp;
-  auto fail = [&](const char* error) {
-    resp.ok = false;
-    resp.error = error;
-    resp.left = PointBlock{};
-    resp.right = PointBlock{};
-    cluster_->Respond(msg, MakePayload<SplitResponse>(std::move(resp)),
-                      64);
+  auto respond = [&]() {
+    cluster_->Respond(msg, MakePayload<SplitResponse>(std::move(resp)), 32);
   };
-  if (!p->IsLive(req.root)) return fail("split root vanished");
-  // Read-only: the subtree stays in place, so readers keep finding its
-  // points, until the install swaps in a routing node over the halves
-  // built from this copy.
+  // Nothing split: the root vanished, the subtree grew a remote edge,
+  // or it holds fewer than two points. The next tick re-evaluates.
   std::vector<Partition::Slot> slots;
-  if (!p->SubtreeLocalSlots(req.root, &slots)) {
-    return fail("split subtree is not fully local");
+  if (!p->IsLive(req.root) || !p->SubtreeLocalSlots(req.root, &slots) ||
+      slots.size() < 2) {
+    return respond();
   }
-  if (slots.size() < 2) return fail("too few points to split");
+
+  // Cut.
   const PointStore& store = p->store();
   std::vector<uint32_t> order(slots.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = static_cast<uint32_t>(i);
-  }
+  std::iota(order.begin(), order.end(), 0u);
   BulkBuildOptions cut_opts;
   cut_opts.policy = req.policy;
   cut_opts.bucket_size = 1;  // Any 2+ points are worth cutting.
@@ -148,127 +104,83 @@ void SemTree::HandleSplit(Partition* p, const Message& msg) {
           order, 0, order.size(), store.dimensions(),
           [&](uint32_t i) { return store.CoordsAt(slots[i]); }, cut_opts,
           &cut)) {
-    return fail("split subtree is inseparable (all points equal)");
+    return respond();  // Inseparable: all points equal.
   }
-  resp.split_dim = cut.dim;
-  resp.split_value = cut.value;
-  resp.left = PointBlock(store.dimensions());
-  resp.right = PointBlock(store.dimensions());
-  resp.left.Reserve(cut.boundary);
-  resp.right.Reserve(order.size() - cut.boundary);
+
+  // Seats, created only once the cut succeeded, so a failed cut leaves
+  // no idle seat. Build-partition may have taken the last seats since
+  // the coordinator read the count; with one left, both halves go to it.
+  const int32_t left_seat = CreatePartition();
+  if (left_seat < 0) return respond();
+  resp.seats.push_back(left_seat);
+  const int32_t right_seat = CreatePartition();
+  if (right_seat >= 0) resp.seats.push_back(right_seat);
+
+  // Halves, in the cut's order; then the subtree lets its points go.
+  PointBlock left(store.dimensions());
+  PointBlock right(store.dimensions());
+  left.Reserve(cut.boundary);
+  right.Reserve(order.size() - cut.boundary);
   for (size_t i = 0; i < order.size(); ++i) {
     const Partition::Slot s = slots[order[i]];
-    (i < cut.boundary ? resp.left : resp.right)
-        .Append(store.CoordsAt(s), store.IdAt(s));
+    (i < cut.boundary ? left : right).Append(store.CoordsAt(s), store.IdAt(s));
   }
-  resp.ok = true;
-  size_t bytes = resp.left.ApproxBytes() + resp.right.ApproxBytes();
-  cluster_->Respond(msg, MakePayload<SplitResponse>(std::move(resp)),
-                    bytes);
-}
-
-void SemTree::HandleInstallSplit(Partition* p, const Message& msg) {
-  auto& req = PayloadAs<InstallSplitRequest>(msg.payload);
-  InstallSplitResponse resp;
-  auto fail = [&](const char* error) {
-    resp.ok = false;
-    resp.error = error;
-    cluster_->Respond(
-        msg, MakePayload<InstallSplitResponse>(std::move(resp)), 64);
-  };
-  if (!p->IsLive(req.node)) return fail("install-split node vanished");
-  // Drain the subtree: its points are the copy the halves were built
-  // from, give or take the writes that landed since.
-  std::vector<Partition::Slot> slots;
-  if (!p->SubtreeLocalSlots(req.node, &slots)) {
-    return fail("install-split node grew a remote edge");
-  }
-  resp.points = GatherSlots(p->store(), slots);
-  p->DetachSubtree(req.node);
+  p->DetachSubtree(req.root);
   p->RemovePoints(slots.size());
   p->BumpRebalances();
-  // Publish: one field-wise write in this handler — concurrent
-  // traversals entering this node afterwards follow the new edges.
-  Partition::PNode& n = p->node(req.node);
+
+  // Ship: the left half to the first seat, the right one to the last.
+  // Each seat is fresh, so its blocks take the roots 0, 1, ...
+  std::vector<std::vector<PointBlock>> shipments(resp.seats.size());
+  shipments.front().push_back(std::move(left));
+  shipments.back().push_back(std::move(right));
+  std::vector<ChildRef> links;
+  for (size_t i = 0; i < shipments.size(); ++i) {
+    for (const ChildRef& link :
+         ShipToSeat(p->id(), resp.seats[i], 0, std::move(shipments[i]))) {
+      links.push_back(link);
+    }
+  }
+
+  // Link: the subtree root becomes the routing node over the halves,
+  // in this same activation.
+  Partition::PNode& n = p->node(req.root);
   n.is_leaf = false;
-  n.split_dim = req.split_dim;
-  n.split_value = req.split_value;
-  n.left = req.left;
-  n.right = req.right;
-  resp.ok = true;
-  size_t bytes = resp.points.ApproxBytes() + 64;
-  cluster_->Respond(
-      msg, MakePayload<InstallSplitResponse>(std::move(resp)), bytes);
+  n.split_dim = cut.dim;
+  n.split_value = cut.value;
+  n.left = links.front();
+  n.right = links.back();
+  resp.points_moved = slots.size();
+  respond();
 }
 
 // --------------------------------------------------------------------
 // Coordinator side (client thread, under rebalance_mu_)
 
 Result<SemTree::LoadSnapshot> SemTree::GatherLoad(double decay) const {
+  std::vector<int32_t> ids(PartitionCount());
+  std::iota(ids.begin(), ids.end(), 0);
+  StatsRequest req;
+  req.decay = decay;
+  req.include_subtrees = true;
+  SEMTREE_ASSIGN_OR_RETURN(std::vector<StatsResponse> round,
+                           StatsRound(ids, req));
   LoadSnapshot snap;
-  size_t count = PartitionCount();
-  snap.stats.resize(count);
-  snap.subtrees.resize(count);
-
-  std::vector<Cluster::OutboundCall> calls;
-  calls.reserve(count);
-  for (size_t id = 0; id < count; ++id) {
-    StatsRequest req;
-    req.decay = decay;
-    req.include_subtrees = true;
-    calls.push_back(Cluster::OutboundCall{
-        static_cast<NodeId>(id), kStatsMsg,
-        MakePayload<StatsRequest>(req), 16});
-  }
-  std::vector<std::future<Payload>> futures =
-      cluster_->CallAll(std::move(calls));
-  for (size_t id = 0; id < count; ++id) {
-    Payload payload = futures[id].get();
-    if (payload == nullptr) {
-      return Status::Unavailable("cluster shut down during rebalance");
-    }
-    auto& resp = PayloadAs<StatsResponse>(payload);
-    snap.stats[id] = resp.stats;
-    snap.subtrees[id] = resp.subtrees;
-  }
-
-  for (const PartitionStats& s : snap.stats) {
-    double score = LoadScore(s);
-    if (s.points > 0 || score > 0.0) {
+  for (StatsResponse& resp : round) {
+    double score = LoadScore(resp.stats);
+    if (resp.stats.points > 0 || score > 0.0) {
       snap.total_score += score;
       ++snap.active;
     }
+    snap.stats.push_back(resp.stats);
+    snap.subtrees.push_back(std::move(resp.subtrees));
   }
   return snap;
 }
 
-Status SemTree::ReconcileCopy(const PointBlock& copied,
-                              const PointBlock& drained) {
-  // The strands inserted since the copy never left the logical tree:
-  // Insert() will count them again, so take them out of the total
-  // first.
-  const PointBlock strands = RowsMissingFrom(drained, copied);
-  total_points_.fetch_sub(strands.size(), std::memory_order_relaxed);
-  for (size_t i = 0; i < strands.size(); ++i) {
-    SEMTREE_RETURN_NOT_OK(
-        Insert(strands.Row(i), strands.dimensions, strands.ids[i]));
-  }
-  rebalance_counters_.strands_reinserted += strands.size();
-  const PointBlock removed = RowsMissingFrom(copied, drained);
-  // The removals already left the total when they hit the original:
-  // add them back so removing the copies does not count them twice.
-  total_points_.fetch_add(removed.size(), std::memory_order_relaxed);
-  for (size_t i = 0; i < removed.size(); ++i) {
-    const double* row = removed.Row(i);
-    SEMTREE_RETURN_NOT_OK(
-        Remove(std::vector<double>(row, row + removed.dimensions),
-               removed.ids[i]));
-  }
-  return Status::OK();
-}
-
 Status SemTree::TrySplit(const LoadSnapshot& snap) {
-  // Every seat is taken: nothing to split onto, so copy nothing.
+  // Every seat is taken: nothing to split onto, so the tick costs its
+  // stats round alone.
   if (PartitionCount() >= options_.max_partitions) return Status::OK();
   const RebalanceOptions& opt = options_.rebalance;
   double mean =
@@ -301,68 +213,21 @@ Status SemTree::TrySplit(const LoadSnapshot& snap) {
   if (best < 0) return Status::OK();
 
   EpochWindow window(rebalance_epoch_);
-  SplitRequest sreq;
-  sreq.root = best_root;
-  sreq.policy = options_.split_policy;
+  SplitRequest req;
+  req.root = best_root;
+  req.policy = options_.split_policy;
   SEMTREE_ASSIGN_OR_RETURN(
-      Payload spayload,
-      cluster_->CallAndWait(best, kSplitMsg, MakePayload<SplitRequest>(sreq),
+      Payload payload,
+      cluster_->CallAndWait(best, kSplitMsg, MakePayload<SplitRequest>(req),
                             32));
-  auto& sresp = PayloadAs<SplitResponse>(spayload);
-  // Nothing was mutated (two-phase handler); the tick just found no
-  // viable cut. Not an error: the next tick re-evaluates.
-  if (!sresp.ok) return Status::OK();
-
-  // Seats are created only now, so a failed cut leaves no idle seat.
-  // With one seat left both halves adopt into it (two roots); build-
-  // partition may have taken the last one since the count was read.
-  const int32_t left_seat = CreatePartition();
-  if (left_seat < 0) return Status::OK();
-  int32_t right_seat = CreatePartition();
-  if (right_seat < 0) right_seat = left_seat;
-
-  uint64_t moved = sresp.left.size() + sresp.right.size();
-  // What the install will compare the drained subtree against.
-  PointBlock copied = sresp.left;
-  for (size_t i = 0; i < sresp.right.size(); ++i) {
-    copied.Append(sresp.right.Row(i), sresp.right.ids[i]);
-  }
-
-  auto ship = [&](PointBlock block, int32_t target) -> Result<int32_t> {
-    BulkBuildRequest req;
-    req.block = std::move(block);
-    size_t bytes = req.block.ApproxBytes();
-    SEMTREE_ASSIGN_OR_RETURN(
-        Payload payload,
-        cluster_->CallAndWait(target, kBulkBuildMsg,
-                              MakePayload<BulkBuildRequest>(std::move(req)),
-                              bytes));
-    return PayloadAs<BulkBuildResponse>(payload).root_node;
-  };
-  SEMTREE_ASSIGN_OR_RETURN(int32_t left_root,
-                           ship(std::move(sresp.left), left_seat));
-  SEMTREE_ASSIGN_OR_RETURN(int32_t right_root,
-                           ship(std::move(sresp.right), right_seat));
-
-  InstallSplitRequest ireq;
-  ireq.node = best_root;
-  ireq.split_dim = sresp.split_dim;
-  ireq.split_value = sresp.split_value;
-  ireq.left = ChildRef{left_seat, left_root};
-  ireq.right = ChildRef{right_seat, right_root};
-  SEMTREE_ASSIGN_OR_RETURN(
-      Payload ipayload,
-      cluster_->CallAndWait(best, kInstallSplitMsg,
-                            MakePayload<InstallSplitRequest>(ireq), 64));
-  auto& iresp = PayloadAs<InstallSplitResponse>(ipayload);
-  if (!iresp.ok) {
-    return Status::Internal(
-        StringPrintf("install-split failed: %s", iresp.error.c_str()));
-  }
-  SEMTREE_RETURN_NOT_OK(ReconcileCopy(copied, iresp.points));
-
+  const auto& resp = PayloadAs<SplitResponse>(payload);
+  if (resp.seats.empty()) return Status::OK();  // The next tick retries.
+  // The handler shipped the halves without waiting. Each seat's FIFO
+  // queue runs its stats request after the build, so once every answer
+  // is in, the split is complete.
+  SEMTREE_RETURN_NOT_OK(StatsRound(resp.seats, StatsRequest{}).status());
   ++rebalance_counters_.splits;
-  rebalance_counters_.points_moved += moved;
+  rebalance_counters_.points_moved += resp.points_moved;
   return Status::OK();
 }
 
@@ -443,14 +308,12 @@ SemTreeDebugStats SemTree::DebugStats() const {
 std::string SemTreeDebugStats::ToString() const {
   std::string out = StringPrintf(
       "SemTree: %zu points, %zu partitions, epoch=%llu\n"
-      "rebalance: ticks=%llu splits=%llu points_moved=%llu "
-      "strands=%llu\n",
+      "rebalance: ticks=%llu splits=%llu points_moved=%llu\n",
       total_points, partitions.size(),
       (unsigned long long)rebalance_epoch,
       (unsigned long long)rebalance.ticks,
       (unsigned long long)rebalance.splits,
-      (unsigned long long)rebalance.points_moved,
-      (unsigned long long)rebalance.strands_reinserted);
+      (unsigned long long)rebalance.points_moved);
   for (const PartitionStats& p : partitions) {
     out += "  " + p.ToString() + "\n";
   }

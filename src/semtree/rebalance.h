@@ -5,9 +5,10 @@
 // of SemTree (semtree/rebalance.cc): a client-side coordinator that
 // watches decayed per-partition load counters and, at most once per
 // tick, splits a subtree of the hottest overloaded partition onto
-// fresh seats (ChooseSplitForPolicy over a copy of the subtree, halves
-// shipped as PointBlocks) while readers keep running lock-free. Like
-// the paper's build-partition, it only ever grows the partitioning.
+// fresh seats (in one activation of the source: ChooseSplitForPolicy
+// over the subtree's points, halves shipped as PointBlocks) while
+// readers and writers keep running. Like the paper's build-partition,
+// it only ever grows the partitioning.
 
 #ifndef SEMTREE_SEMTREE_REBALANCE_H_
 #define SEMTREE_SEMTREE_REBALANCE_H_
@@ -48,7 +49,6 @@ struct RebalanceCounters {
   uint64_t merges = 0;
   uint64_t migrations = 0;
   uint64_t points_moved = 0; ///< Points shipped in split halves.
-  uint64_t strands_reinserted = 0;  ///< Mid-window arrivals re-routed.
 };
 
 /// One-stop debugging/observability snapshot of the distributed tree:

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <numeric>
 #include <set>
 
 #include "common/logging.h"
@@ -108,10 +109,10 @@ void SearchStep(Partition* p, SearchItem* item) {
     }
   };
   // Stale-frame guard. A dead node was drained by a structural change
-  // (build-partition moving a leaf, or a split's install, DESIGN.md
-  // §12) after the frame was captured; its points now sit behind a
-  // routing node the traversal has passed, so the frame is dropped, as
-  // is an out-of-range index.
+  // (build-partition moving a leaf, or a split, DESIGN.md §12) after
+  // the frame was captured; its points now sit behind a routing node
+  // the traversal has passed, so the frame is dropped, as is an
+  // out-of-range index.
   if (!p->IsLive(frame.node)) {
     stack.pop_back();
     return;
@@ -265,9 +266,6 @@ size_t SemTree::PartitionCount() const {
 }
 
 bool SemTree::IsSaturated(const Partition& part) const {
-  // Stats() walks the partition; the static condition needs only the
-  // point count.
-  if (options_.saturation) return options_.saturation(part.Stats());
   return part.points() >= options_.partition_capacity;
 }
 
@@ -283,7 +281,6 @@ void SemTree::Handle(Partition* p, const Message& msg) {
     case kSnapshotMsg: return HandleSnapshot(p, msg);
     case kRestoreMsg: return HandleRestore(p, msg);
     case kSplitMsg: return HandleSplit(p, msg);
-    case kInstallSplitMsg: return HandleInstallSplit(p, msg);
   }
   // Dropping the request resolves its caller with a null payload.
   SEMTREE_LOG(Warning) << "partition " << p->id()
@@ -293,50 +290,63 @@ void SemTree::Handle(Partition* p, const Message& msg) {
 // --------------------------------------------------------------------
 // Insertion (§III-B.1)
 
-void SemTree::HandleInsert(Partition* p, const Message& msg) {
-  auto& req = PayloadAs<InsertRequest>(msg.payload);
+namespace {
+
+// The walk of a point request (PointRequest) through partition `p`
+// (§III-B.1): from its start node, compare P[Sr] with Sv and follow the
+// local children (Cp == Childp) as in a sequential Kd-tree. Returns the
+// leaf the point falls in, or -1 once this handler is done with the
+// request: forwarded to the partition hosting the next child
+// (Cp != Childp), where it or a later hop answers the caller, or
+// answered with a `Response` naming the dead node it reached. Requests
+// only address partition roots and walk local links, and neither a
+// split nor build-partition kills a root, so a dead node is a bug.
+template <typename Response>
+int32_t WalkToLeaf(Cluster& cluster, Partition* p, const Message& msg,
+                   const char* op, size_t error_bytes) {
+  auto& req = PayloadAs<PointRequest>(msg.payload);
   p->RecordLoad(1, 0);
   int32_t nd = req.start_node;
   for (;;) {
     if (!p->IsLive(nd)) {
-      // Requests only address partition roots (and walk local links),
-      // and neither a split nor build-partition kills a root.
-      InsertResponse resp;
-      resp.error = StringPrintf("insert reached dead node %d of partition %d",
-                                nd, p->id());
-      cluster_->Respond(msg, MakePayload<InsertResponse>(std::move(resp)),
-                        64);
-      return;
+      Response resp;
+      resp.error = StringPrintf("%s reached dead node %d of partition %d",
+                                op, nd, p->id());
+      cluster.Respond(msg, MakePayload<Response>(std::move(resp)),
+                      error_bytes);
+      return -1;
     }
-    Partition::PNode& n = p->node(nd);
-    if (n.is_leaf) {
-      n.bucket.push_back(
-          p->store().Append(req.point.coords.data(), req.point.id));
-      p->AddPoints(1);
-      total_points_.fetch_add(1, std::memory_order_relaxed);
-      p->SplitLeafIfNeeded(nd);
-      InsertResponse resp;
-      resp.ok = true;
-      resp.partition = p->id();
-      resp.saturated = IsSaturated(*p);
-      cluster_->Respond(msg, MakePayload<InsertResponse>(std::move(resp)),
-                        64);
-      return;
-    }
+    const Partition::PNode& n = p->node(nd);
+    if (n.is_leaf) return nd;
     const ChildRef& child =
         (req.point.coords[n.split_dim] <= n.split_value) ? n.left
                                                          : n.right;
-    if (child.partition == p->id()) {
-      // Cp == Childp: navigate as a sequential Kd-Tree.
-      nd = child.node;
-      continue;
+    if (child.partition != p->id()) {
+      req.start_node = child.node;
+      cluster.Forward(msg, child.partition, p->id());
+      return -1;
     }
-    // Cp != Childp: hand the point to the partition hosting the child;
-    // it (or a later hop) answers the original caller.
-    req.start_node = child.node;
-    cluster_->Forward(msg, child.partition, p->id());
-    return;
+    nd = child.node;
   }
+}
+
+}  // namespace
+
+void SemTree::HandleInsert(Partition* p, const Message& msg) {
+  const int32_t leaf =
+      WalkToLeaf<InsertResponse>(*cluster_, p, msg, "insert", 64);
+  if (leaf < 0) return;
+  const KdPoint& point = PayloadAs<PointRequest>(msg.payload).point;
+  p->node(leaf).bucket.push_back(
+      p->store().Append(point.coords.data(), point.id));
+  p->AddPoints(1);
+  total_points_.fetch_add(1, std::memory_order_relaxed);
+  p->SplitLeafIfNeeded(leaf);
+  InsertResponse resp;
+  resp.ok = true;
+  resp.partition = p->id();
+  resp.saturated = IsSaturated(*p);
+  cluster_->Respond(msg, MakePayload<InsertResponse>(std::move(resp)), 64);
 }
 
 Status SemTree::Insert(const double* coords, size_t dims, PointId id) {
@@ -350,13 +360,12 @@ Status SemTree::Insert(const std::vector<double>& coords, PointId id) {
                      coords.size(), options_.dimensions));
   }
   SEMTREE_RETURN_NOT_OK(CheckFiniteCoords(coords));
-  InsertRequest req;
-  req.start_node = 0;
+  PointRequest req;
   req.point = KdPoint{coords, id};
   SEMTREE_ASSIGN_OR_RETURN(
       Payload payload,
       cluster_->CallAndWait(0, kInsertMsg,
-                            MakePayload<InsertRequest>(std::move(req)),
+                            MakePayload<PointRequest>(std::move(req)),
                             PointBytes(options_.dimensions)));
   auto& resp = PayloadAs<InsertResponse>(payload);
   if (!resp.ok) return Status::Internal(resp.error);
@@ -370,16 +379,10 @@ Status SemTree::Insert(const std::vector<double>& coords, PointId id) {
     // The handler shipped the moved leaves without waiting. Each new
     // partition's FIFO queue runs its stats request after those builds,
     // so once every answer is in, the move is complete.
-    std::vector<Cluster::OutboundCall> calls;
-    for (int32_t q : PayloadAs<BuildPartitionResponse>(build).new_partitions) {
-      calls.push_back(Cluster::OutboundCall{
-          q, kStatsMsg, MakePayload<StatsRequest>(StatsRequest{}), 16});
-    }
-    for (std::future<Payload>& f : cluster_->CallAll(std::move(calls))) {
-      if (f.get() == nullptr) {
-        return Status::Unavailable("cluster shut down during build-partition");
-      }
-    }
+    SEMTREE_RETURN_NOT_OK(
+        StatsRound(PayloadAs<BuildPartitionResponse>(build).new_partitions,
+                   StatsRequest{})
+            .status());
   }
   return Status::OK();
 }
@@ -427,49 +430,27 @@ Status SemTree::BulkInsert(const std::vector<KdPoint>& points,
 }
 
 void SemTree::HandleRemove(Partition* p, const Message& msg) {
-  auto& req = PayloadAs<RemoveRequest>(msg.payload);
-  p->RecordLoad(1, 0);
-  int32_t nd = req.start_node;
-  for (;;) {
-    if (!p->IsLive(nd)) {  // As in HandleInsert.
-      RemoveResponse resp;
-      resp.error = StringPrintf("remove reached dead node %d of partition %d",
-                                nd, p->id());
-      cluster_->Respond(msg, MakePayload<RemoveResponse>(std::move(resp)),
-                        32);
-      return;
+  const int32_t leaf =
+      WalkToLeaf<RemoveResponse>(*cluster_, p, msg, "remove", 32);
+  if (leaf < 0) return;
+  const KdPoint& point = PayloadAs<PointRequest>(msg.payload).point;
+  Partition::PNode& n = p->node(leaf);
+  RemoveResponse resp;
+  p->RecordLoad(0, static_cast<double>(n.bucket.size()));
+  for (size_t i = 0; i < n.bucket.size(); ++i) {
+    Partition::Slot slot = n.bucket[i];
+    if (p->store().IdAt(slot) == point.id &&
+        std::equal(point.coords.begin(), point.coords.end(),
+                   p->store().CoordsAt(slot))) {
+      n.bucket.erase(n.bucket.begin() + static_cast<ptrdiff_t>(i));
+      p->store().Release(slot);
+      p->RemovePoints(1);
+      total_points_.fetch_sub(1, std::memory_order_relaxed);
+      resp.found = true;
+      break;
     }
-    Partition::PNode& n = p->node(nd);
-    if (n.is_leaf) {
-      RemoveResponse resp;
-      p->RecordLoad(0, static_cast<double>(n.bucket.size()));
-      for (size_t i = 0; i < n.bucket.size(); ++i) {
-        Partition::Slot slot = n.bucket[i];
-        if (p->store().IdAt(slot) == req.point.id &&
-            std::equal(req.point.coords.begin(), req.point.coords.end(),
-                       p->store().CoordsAt(slot))) {
-          n.bucket.erase(n.bucket.begin() + static_cast<ptrdiff_t>(i));
-          p->store().Release(slot);
-          p->RemovePoints(1);
-          total_points_.fetch_sub(1, std::memory_order_relaxed);
-          resp.found = true;
-          break;
-        }
-      }
-      cluster_->Respond(msg, MakePayload<RemoveResponse>(resp), 32);
-      return;
-    }
-    const ChildRef& child =
-        (req.point.coords[n.split_dim] <= n.split_value) ? n.left
-                                                         : n.right;
-    if (child.partition == p->id()) {
-      nd = child.node;
-      continue;
-    }
-    req.start_node = child.node;
-    cluster_->Forward(msg, child.partition, p->id());
-    return;
   }
+  cluster_->Respond(msg, MakePayload<RemoveResponse>(resp), 32);
 }
 
 Status SemTree::Remove(const std::vector<double>& coords, PointId id) {
@@ -478,13 +459,12 @@ Status SemTree::Remove(const std::vector<double>& coords, PointId id) {
         StringPrintf("point has %zu dimensions, tree has %zu",
                      coords.size(), options_.dimensions));
   }
-  RemoveRequest req;
-  req.start_node = 0;
+  PointRequest req;
   req.point = KdPoint{coords, id};
   SEMTREE_ASSIGN_OR_RETURN(
       Payload payload,
       cluster_->CallAndWait(0, kRemoveMsg,
-                            MakePayload<RemoveRequest>(std::move(req)),
+                            MakePayload<PointRequest>(std::move(req)),
                             PointBytes(options_.dimensions)));
   auto& resp = PayloadAs<RemoveResponse>(payload);
   if (!resp.error.empty()) return Status::Internal(resp.error);
@@ -534,21 +514,14 @@ void SemTree::HandleBuildPartition(Partition* p, const Message& msg) {
       for (size_t i = 0; i < movable.size(); ++i) {
         const Partition::LeafLocation& loc = movable[i];
         size_t t = i * targets.size() / movable.size();
-        int32_t q = targets[t];
         // One contiguous coordinate block per migrated leaf (Fig. 2).
         // It holds at most bucket_size points or only duplicates, so the
         // target's balanced build makes it one leaf, rows in order.
-        BulkBuildRequest leaf;
-        leaf.block = p->ExtractLeafBlock(loc.leaf);
-        leaf.root = shipped[t]++;
-        ChildRef link{q, leaf.root};
-        size_t moved = leaf.block.size();
-        size_t bytes = leaf.block.ApproxBytes();
-        // Not awaited: the target's FIFO queue runs the build before
-        // anything this partition forwards to it through the new link.
-        cluster_->Call(q, kBulkBuildMsg,
-                       MakePayload<BulkBuildRequest>(std::move(leaf)), bytes,
-                       p->id());
+        std::vector<PointBlock> leaf;
+        leaf.push_back(p->ExtractLeafBlock(loc.leaf));
+        const size_t moved = leaf[0].size();
+        const ChildRef link =
+            ShipToSeat(p->id(), targets[t], shipped[t]++, std::move(leaf))[0];
         // Install the direct link between the partitions (Fig. 2).
         Partition::PNode& parent = p->node(loc.parent);
         (loc.is_left ? parent.left : parent.right) = link;
@@ -566,23 +539,44 @@ void SemTree::HandleBuildPartition(Partition* p, const Message& msg) {
 // --------------------------------------------------------------------
 // Distributed bulk load
 
+std::vector<ChildRef> SemTree::ShipToSeat(int32_t from, int32_t seat,
+                                         int32_t first_root,
+                                         std::vector<PointBlock> blocks) {
+  BulkBuildRequest req;
+  std::vector<ChildRef> links;
+  size_t bytes = 0;
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    req.roots.push_back(first_root + static_cast<int32_t>(i));
+    links.push_back(ChildRef{seat, req.roots.back()});
+    bytes += blocks[i].ApproxBytes();
+  }
+  req.blocks = std::move(blocks);
+  cluster_->Call(seat, kBulkBuildMsg,
+                 MakePayload<BulkBuildRequest>(std::move(req)), bytes, from);
+  return links;
+}
+
 void SemTree::HandleBulkBuild(Partition* p, const Message& msg) {
   auto& req = PayloadAs<BulkBuildRequest>(msg.payload);
-  int32_t root = p->AdoptRoot();
-  if (req.root >= 0 && root != req.root) {
-    // The sender's parent link already names req.root: building
-    // anywhere else would cut the moved points off the tree.
+  BulkBuildResponse resp;
+  resp.roots = p->AdoptRoots(req.blocks.size());
+  for (size_t i = 0; i < req.roots.size(); ++i) {
+    if (req.roots[i] == resp.roots[i]) continue;
+    // The sender's link already names req.roots[i]: building anywhere
+    // else would cut the moved points off the tree.
     SEMTREE_LOG(Error) << "partition " << p->id() << " adopted node "
-                       << root << ", but the sender linked " << req.root;
+                       << resp.roots[i] << ", but the sender linked "
+                       << req.roots[i];
     std::abort();
   }
   BulkBuildOptions build;
   build.policy = options_.split_policy;
   build.build_threads = options_.build_threads;
-  p->BuildBalancedLocal(root, req.block, build);
-  BulkBuildResponse resp;
-  resp.root_node = root;
-  cluster_->Respond(msg, MakePayload<BulkBuildResponse>(resp), 32);
+  for (size_t i = 0; i < req.blocks.size(); ++i) {
+    p->BuildBalancedLocal(resp.roots[i], req.blocks[i], build);
+  }
+  cluster_->Respond(msg, MakePayload<BulkBuildResponse>(std::move(resp)),
+                    32);
 }
 
 void SemTree::HandleInstallTopology(Partition* p, const Message& msg) {
@@ -740,8 +734,8 @@ Status SemTree::BulkLoadBalanced(PointBlock points) {
       root_out.first < 0) {
     // Everything fits in the root partition.
     BulkBuildRequest req;
-    req.block = std::move(points);
-    size_t bytes = req.block.ApproxBytes();
+    size_t bytes = points.ApproxBytes();
+    req.blocks.push_back(std::move(points));
     SEMTREE_ASSIGN_OR_RETURN(
         Payload resp,
         cluster_->CallAndWait(0, kBulkBuildMsg,
@@ -769,8 +763,8 @@ Status SemTree::BulkLoadBalanced(PointBlock points) {
           "not enough compute nodes for the bulk-load regions");
     }
     BulkBuildRequest req;
-    req.block = splitter.GatherRegion(r);
-    size_t bytes = req.block.ApproxBytes();
+    req.blocks.push_back(splitter.GatherRegion(r));
+    size_t bytes = req.blocks[0].ApproxBytes();
     Payload payload = MakePayload<BulkBuildRequest>(std::move(req));
     if (r + 1 < splitter.regions.size()) {
       pending.push_back(PendingRegion{
@@ -780,7 +774,7 @@ Status SemTree::BulkLoadBalanced(PointBlock points) {
     SEMTREE_ASSIGN_OR_RETURN(
         Payload built,
         cluster_->CallAndWait(q, kBulkBuildMsg, std::move(payload), bytes));
-    region_refs[r] = ChildRef{q, PayloadAs<BulkBuildResponse>(built).root_node};
+    region_refs[r] = ChildRef{q, PayloadAs<BulkBuildResponse>(built).roots[0]};
   }
   for (size_t r = 0; r < pending.size(); ++r) {
     Payload payload = pending[r].future.get();
@@ -788,7 +782,7 @@ Status SemTree::BulkLoadBalanced(PointBlock points) {
       return Status::Unavailable("cluster shut down during bulk load");
     }
     auto& resp = PayloadAs<BulkBuildResponse>(payload);
-    region_refs[r] = ChildRef{pending[r].partition, resp.root_node};
+    region_refs[r] = ChildRef{pending[r].partition, resp.roots[0]};
   }
   total_points_.fetch_add(count, std::memory_order_relaxed);
 
@@ -1042,17 +1036,33 @@ void SemTree::HandleStats(Partition* p, const Message& msg) {
                     sizeof(PartitionStats));
 }
 
-std::vector<PartitionStats> SemTree::AllPartitionStats() const {
-  size_t count = PartitionCount();
-  std::vector<PartitionStats> out;
-  out.reserve(count);
-  for (size_t id = 0; id < count; ++id) {
-    auto payload = cluster_->CallAndWait(
-        static_cast<NodeId>(id), kStatsMsg,
-        MakePayload<StatsRequest>(StatsRequest{}), 16);
-    if (!payload.ok()) continue;
-    out.push_back(PayloadAs<StatsResponse>(*payload).stats);
+Result<std::vector<StatsResponse>> SemTree::StatsRound(
+    const std::vector<int32_t>& ids, const StatsRequest& req) const {
+  std::vector<Cluster::OutboundCall> calls;
+  calls.reserve(ids.size());
+  for (int32_t id : ids) {
+    calls.push_back(Cluster::OutboundCall{
+        id, kStatsMsg, MakePayload<StatsRequest>(req), 16});
   }
+  std::vector<StatsResponse> out;
+  out.reserve(ids.size());
+  for (std::future<Payload>& f : cluster_->CallAll(std::move(calls))) {
+    Payload payload = f.get();
+    if (payload == nullptr) {
+      return Status::Unavailable("cluster shut down during a stats round");
+    }
+    out.push_back(PayloadAs<StatsResponse>(payload));
+  }
+  return out;
+}
+
+std::vector<PartitionStats> SemTree::AllPartitionStats() const {
+  std::vector<int32_t> ids(PartitionCount());
+  std::iota(ids.begin(), ids.end(), 0);
+  Result<std::vector<StatsResponse>> round = StatsRound(ids, StatsRequest{});
+  std::vector<PartitionStats> out;
+  if (!round.ok()) return out;
+  for (const StatsResponse& resp : *round) out.push_back(resp.stats);
   return out;
 }
 

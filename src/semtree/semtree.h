@@ -41,7 +41,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -59,10 +58,10 @@
 
 namespace semtree {
 
-/// Resource condition deciding when a partition is saturated
-/// (paper §III-B.1: "dynamically evaluated at run-time ... or
-/// statically fixed").
-using SaturationCondition = std::function<bool(const PartitionStats&)>;
+namespace protocol {
+struct StatsRequest;
+struct StatsResponse;
+}  // namespace protocol
 
 struct SemTreeOptions {
   /// Dimensionality of the embedded space.
@@ -74,12 +73,10 @@ struct SemTreeOptions {
   /// Upper bound on partitions (compute nodes). 1 = fully local tree.
   size_t max_partitions = 1;
 
-  /// Static resource condition: a partition saturates when it stores
-  /// at least this many points. Ignored if `saturation` is set.
+  /// The resource condition deciding when a partition is saturated,
+  /// statically fixed (paper §III-B.1): it saturates once it stores at
+  /// least this many points.
   size_t partition_capacity = SIZE_MAX;
-
-  /// Optional dynamic resource condition overriding the static one.
-  SaturationCondition saturation;
 
   /// One-way network latency of the simulated interconnect.
   std::chrono::microseconds network_latency{0};
@@ -218,7 +215,9 @@ class SemTree {
   size_t PartitionCount() const;
   const SemTreeOptions& options() const { return options_; }
 
-  /// Per-partition statistics, fetched over the message protocol.
+  /// Per-partition statistics, fetched over the message protocol in
+  /// one stats round and indexed by partition id; empty if the cluster
+  /// shut down during the round.
   std::vector<PartitionStats> AllPartitionStats() const;
 
   /// One bounded rebalance pass (DESIGN.md §12): reads the decayed
@@ -270,9 +269,9 @@ class SemTree {
   /// are recreated and every blob ships back to its node for restore —
   /// no re-insertion, no rebuild. A compute node owns no thread, so
   /// the snapshot's partition count does not set the thread count.
-  /// `runtime` supplies the deployment knobs (latency, saturation,
-  /// extra partition headroom); dimensions and bucket size come from
-  /// the snapshot.
+  /// `runtime` supplies the deployment knobs (latency, partition
+  /// capacity, extra partition headroom); dimensions and bucket size
+  /// come from the snapshot.
   static Result<std::unique_ptr<SemTree>> LoadFrom(
       persist::ByteReader* in, SemTreeOptions runtime = {});
 
@@ -286,6 +285,23 @@ class SemTree {
 
   Partition* partition(int32_t id) const;
   bool IsSaturated(const Partition& partition) const;
+
+  // Ships `blocks` from partition `from` to partition `seat` as one
+  // unawaited bulk build whose subtrees take the roots first_root,
+  // first_root + 1, ..., and returns the links to them. The caller
+  // installs the links in the same activation: the seat's FIFO queue
+  // runs the build before anything the caller forwards through them
+  // (DESIGN.md §2).
+  std::vector<ChildRef> ShipToSeat(int32_t from, int32_t seat,
+                                   int32_t first_root,
+                                   std::vector<PointBlock> blocks);
+
+  // One stats round: sends `req` to every partition in `ids` at once
+  // and returns the answers in the same order. Unavailable if the
+  // cluster shut down or a partition left the request unanswered.
+  Result<std::vector<protocol::StatsResponse>> StatsRound(
+      const std::vector<int32_t>& ids,
+      const protocol::StatsRequest& req) const;
 
   // The handler of partition `p`'s compute node: dispatches on the
   // message type, and logs and drops an unknown one. Runs on whichever
@@ -301,9 +317,8 @@ class SemTree {
   void HandleSnapshot(Partition* p, const Message& msg);
   void HandleRestore(Partition* p, const Message& msg);
 
-  // Rebalance handlers + coordinator (semtree/rebalance.cc).
+  // The rebalance handler and coordinator (semtree/rebalance.cc).
   void HandleSplit(Partition* p, const Message& msg);
-  void HandleInstallSplit(Partition* p, const Message& msg);
 
   // The coordinator's cluster-wide view for one tick: per-partition
   // stats (with load counters) and subtree inventories.
@@ -317,11 +332,6 @@ class SemTree {
   // Splits one subtree when a partition qualifies and a seat is left;
   // OK when nothing qualified.
   Status TrySplit(const LoadSnapshot& snap) REQUIRES(rebalance_mu_);
-  // After a subtree was copied, the copy rebuilt elsewhere and the
-  // original drained: re-inserts what the original gained since the
-  // copy and removes from the tree what it lost.
-  Status ReconcileCopy(const PointBlock& copied, const PointBlock& drained)
-      REQUIRES(rebalance_mu_);
   void RebalancerLoop();
 
   SemTreeOptions options_;
@@ -340,10 +350,10 @@ class SemTree {
   std::atomic<size_t> total_points_{0};
 
   // Rebalancer state (DESIGN.md §12). rebalance_mu_ serializes ticks
-  // and guards the counters; when a tick creates a partition, or runs
-  // a build-partition handler inline, it takes partitions_mu_ *inside*
-  // rebalance_mu_ (never the reverse). The epoch is read locklessly by
-  // cache layers.
+  // and guards the counters; when a tick runs a split or a
+  // build-partition handler inline, which create partitions, it takes
+  // partitions_mu_ *inside* rebalance_mu_ (never the reverse). The
+  // epoch is read locklessly by cache layers.
   mutable Mutex rebalance_mu_;
   RebalanceCounters rebalance_counters_ GUARDED_BY(rebalance_mu_);
   std::atomic<uint64_t> rebalance_epoch_{0};

@@ -381,9 +381,8 @@ TEST(RebalanceTest, ConcurrentInsertsLandExactlyOnce) {
 TEST(RebalanceTest, ConcurrentRemovesRacingSplitsLandExactlyOnce) {
   SemTreeOptions opts = RebalanceOpts();
   opts.rebalance.interval = std::chrono::milliseconds(1);
-  // A split keeps serving its subtree until the install, so a remove
-  // never misses its point, and the install takes the removal over to
-  // the copy built on the new seats.
+  // A split moves its subtree in one activation of the source, so a
+  // remove finds its point either there or behind the new link.
   auto corpus = SkewedCorpus(2000);
   auto tree = MakeLoadedTree(opts, corpus);
   ASSERT_TRUE(tree->StartRebalancer().ok());
@@ -411,6 +410,81 @@ TEST(RebalanceTest, ConcurrentRemovesRacingSplitsLandExactlyOnce) {
   std::vector<KdPoint> kept(corpus.begin() + kHot, corpus.end());
   auto twin = MakeLoadedTree(RebalanceOpts(), kept);
   ExpectQueriesIdentical(*tree, *twin, corpus);
+}
+
+// A write is visible the moment it returns, even while splits run
+// (DESIGN.md §12). Three writers each make 300 writes, write(w, i)
+// returning the point written, against a rebalancer ticking every
+// millisecond. After each write returns, its writer probes its last 16
+// points and counts every one a reader does not see as `stored`.
+template <typename Write>
+void ExpectWritesVisibleOnReturn(SemTree* tree, bool stored, Write write) {
+  constexpr size_t kWriters = 3;
+  constexpr size_t kPerWriter = 300;
+  constexpr size_t kWindow = 16;
+  ASSERT_TRUE(tree->StartRebalancer().ok());
+  std::atomic<uint64_t> wrong{0};
+  std::atomic<uint64_t> probes{0};
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w]() {
+      std::vector<KdPoint> written;
+      for (size_t i = 0; i < kPerWriter; ++i) {
+        written.push_back(write(w, i));
+        size_t from = written.size() > kWindow ? written.size() - kWindow : 0;
+        for (size_t j = from; j < written.size(); ++j) {
+          auto r = tree->RangeSearch(written[j].coords, 1e-9);
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+          bool found = false;
+          for (const Neighbor& n : *r) found |= n.id == written[j].id;
+          if (found != stored) wrong.fetch_add(1, std::memory_order_relaxed);
+          probes.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& th : writers) th.join();
+  tree->StopRebalancer();
+  EXPECT_GE(tree->DebugStats().rebalance.splits, 1u);
+  EXPECT_EQ(probes.load(), 14040u);
+  EXPECT_EQ(wrong.load(), 0u) << "of " << probes.load() << " probes";
+  EXPECT_TRUE(tree->CheckInvariants().ok());
+}
+
+TEST(RebalanceTest, InsertIsVisibleOnReturnWhileSplitsRun) {
+  SemTreeOptions opts = RebalanceOpts();
+  opts.rebalance.interval = std::chrono::milliseconds(1);
+  auto corpus = SkewedCorpus(2000);
+  auto tree = MakeLoadedTree(opts, corpus);
+  ExpectWritesVisibleOnReturn(
+      tree.get(), /*stored=*/true, [&](size_t w, size_t i) {
+        // New ids inside the hot region, so inserts race the splits
+        // happening there.
+        KdPoint p;
+        p.id = corpus.size() + w * 300 + i;
+        p.coords = corpus[(w * 31 + i) % 60].coords;
+        p.coords[0] += 1e-4 * static_cast<double>(i + 1);
+        Status st = tree->Insert(p.coords, p.id);
+        EXPECT_TRUE(st.ok()) << st.ToString();
+        return p;
+      });
+  EXPECT_EQ(tree->size(), corpus.size() + 900);
+}
+
+TEST(RebalanceTest, RemoveIsVisibleOnReturnWhileSplitsRun) {
+  SemTreeOptions opts = RebalanceOpts();
+  opts.rebalance.interval = std::chrono::milliseconds(1);
+  auto corpus = SkewedCorpus(2000);
+  auto tree = MakeLoadedTree(opts, corpus);
+  ExpectWritesVisibleOnReturn(
+      tree.get(), /*stored=*/false, [&](size_t w, size_t i) {
+        // Every third point of the hot prefix's first 900.
+        const KdPoint& p = corpus[w + 3 * i];
+        Status st = tree->Remove(p.coords, p.id);
+        EXPECT_TRUE(st.ok()) << "id " << p.id << ": " << st.ToString();
+        return p;
+      });
+  EXPECT_EQ(tree->size(), corpus.size() - 900);
 }
 
 }  // namespace

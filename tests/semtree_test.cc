@@ -550,16 +550,14 @@ TEST(SemTreeTest, ConcurrentBuildPartitionsKeepPartitionAndNodeIds) {
   }
 }
 
-TEST(SemTreeTest, SaturationConditionCallbackHonoured) {
-  // A dynamic resource condition: saturate once a partition holds any
-  // routing structure at all (forces aggressive spreading).
+TEST(SemTreeTest, SmallPartitionCapacitySpreadsOverEverySeat) {
+  // A partition saturates once it holds 31 points, far below the
+  // corpus, so build-partition takes every seat.
   SemTreeOptions opts;
   opts.dimensions = 2;
   opts.bucket_size = 4;
   opts.max_partitions = 4;
-  opts.saturation = [](const PartitionStats& s) {
-    return s.points > 30;
-  };
+  opts.partition_capacity = 31;
   auto tree = SemTree::Create(opts);
   ASSERT_TRUE(tree.ok());
   ASSERT_TRUE((*tree)->BulkInsert(RandomPoints(400, 2, 29)).ok());
