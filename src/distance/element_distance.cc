@@ -15,8 +15,29 @@ PreparedTerm ElementDistance::Prepare(const Term& term) const {
   return prepared;
 }
 
-double ElementDistance::operator()(const PreparedTerm& pa,
-                                   const PreparedTerm& pb) const {
+CompiledTerm ElementDistance::Compile(const PreparedTerm& term) const {
+  CompiledTerm compiled;
+  compiled.prepared = term;
+  compiled.generation = taxonomy_->generation();
+  const std::string& value = term.term->value();
+  if (term.term->is_literal() &&
+      options_.string_distance == StringDistanceKind::kNormalizedLevenshtein &&
+      value.size() <= LevenshteinPattern::kMaxLength) {
+    compiled.pattern = std::make_unique<const LevenshteinPattern>(value);
+  } else if (term.concept_id != kInvalidConcept) {
+    // The query is the first argument, as in Evaluate.
+    compiled.concept_row.resize(taxonomy_->size());
+    for (ConceptId c = 0; c < taxonomy_->size(); ++c) {
+      compiled.concept_row[c] = ConceptDistance(
+          options_.concept_measure, *taxonomy_, c, term.concept_id);
+    }
+  }
+  return compiled;
+}
+
+double ElementDistance::Evaluate(const PreparedTerm& pa,
+                                 const PreparedTerm& pb,
+                                 const CompiledTerm* compiled) const {
   const Term& a = *pa.term;
   const Term& b = *pb.term;
   if (a == b) return 0.0;
@@ -24,9 +45,16 @@ double ElementDistance::operator()(const PreparedTerm& pa,
     return std::clamp(options_.mixed_kind_distance, 0.0, 1.0);
   }
   if (a.is_literal()) {
+    if (compiled != nullptr && compiled->pattern != nullptr) {
+      return NormalizedLevenshtein(*compiled->pattern, a.value());
+    }
     return StringDistance(options_.string_distance, a.value(), b.value());
   }
   if (pa.concept_id != kInvalidConcept && pb.concept_id != kInvalidConcept) {
+    if (compiled != nullptr && !compiled->concept_row.empty() &&
+        compiled->generation == taxonomy_->generation()) {
+      return compiled->concept_row[pa.concept_id];
+    }
     return ConceptDistance(options_.concept_measure, *taxonomy_,
                            pa.concept_id, pb.concept_id);
   }

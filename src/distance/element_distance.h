@@ -8,6 +8,10 @@
 #ifndef SEMTREE_DISTANCE_ELEMENT_DISTANCE_H_
 #define SEMTREE_DISTANCE_ELEMENT_DISTANCE_H_
 
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include "ontology/similarity.h"
 #include "ontology/taxonomy.h"
 #include "rdf/term.h"
@@ -39,6 +43,22 @@ struct PreparedTerm {
   ConceptId concept_id = kInvalidConcept;
 };
 
+/// A term fixed for comparisons with many others, such as a FastMap
+/// pivot's (ElementDistance::Compile). Points into the Term it was
+/// prepared from, which must outlive it.
+struct CompiledTerm {
+  PreparedTerm prepared;
+  /// A literal's Levenshtein masks, when the string distance is
+  /// normalized Levenshtein and the literal fits one; null otherwise.
+  std::unique_ptr<const LevenshteinPattern> pattern;
+  /// For a resolved concept p: ConceptDistance(measure, taxonomy, c, p)
+  /// at index c, for every concept c. Empty otherwise.
+  std::vector<double> concept_row;
+  /// Taxonomy::generation() when the row was computed. A row from an
+  /// older generation is not read.
+  uint64_t generation = 0;
+};
+
 /// Computes the distance between two elements; always in [0,1].
 ///
 /// Concepts that cannot be resolved in the taxonomy fall back to the
@@ -52,15 +72,33 @@ class ElementDistance {
   /// Resolves `term` in the taxonomy once, for repeated comparisons.
   PreparedTerm Prepare(const Term& term) const;
 
-  double operator()(const PreparedTerm& a, const PreparedTerm& b) const;
+  /// Compiles a prepared term: a literal gets its pattern, a resolved
+  /// concept its distance row (CompiledTerm); any other term compares
+  /// as a prepared one. Costs |C| concept comparisons for a concept.
+  CompiledTerm Compile(const PreparedTerm& term) const;
+
+  double operator()(const PreparedTerm& a, const PreparedTerm& b) const {
+    return Evaluate(a, b, nullptr);
+  }
   double operator()(const Term& a, const Term& b) const {
     return (*this)(Prepare(a), Prepare(b));
+  }
+  /// Bit for bit (*this)(a, b.prepared), with b's pattern or row in
+  /// place of the string or concept comparison.
+  double operator()(const PreparedTerm& a, const CompiledTerm& b) const {
+    return Evaluate(a, b.prepared, &b);
   }
 
   const ElementDistanceOptions& options() const { return options_; }
   const Taxonomy& taxonomy() const { return *taxonomy_; }
 
  private:
+  // The one dispatch: equal terms, mixed kinds, literals, resolved
+  // concepts, out-of-vocabulary names. `compiled`, if given, is `b`
+  // compiled and answers the literal or concept case.
+  double Evaluate(const PreparedTerm& a, const PreparedTerm& b,
+                  const CompiledTerm* compiled) const;
+
   const Taxonomy* taxonomy_;  // Not owned; must outlive this object.
   ElementDistanceOptions options_;
 };

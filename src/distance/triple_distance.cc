@@ -36,11 +36,22 @@ PreparedTriple TripleDistance::Prepare(const Triple& t) const {
                         element_.Prepare(t.object)};
 }
 
+CompiledTriple TripleDistance::Compile(const PreparedTriple& t) const {
+  return CompiledTriple{element_.Compile(t.subject),
+                        element_.Compile(t.predicate),
+                        element_.Compile(t.object)};
+}
+
 double TripleDistance::operator()(const PreparedTriple& a,
                                   const PreparedTriple& b) const {
-  Components c = ComponentDistances(a, b);
-  return weights_.alpha * c.subject + weights_.beta * c.predicate +
-         weights_.gamma * c.object;
+  return Combine(ComponentDistances(a, b));
+}
+
+double TripleDistance::operator()(const PreparedTriple& a,
+                                  const CompiledTriple& b) const {
+  return Combine(Components{element_(a.subject, b.subject),
+                            element_(a.predicate, b.predicate),
+                            element_(a.object, b.object)});
 }
 
 TripleDistance::Components TripleDistance::ComponentDistances(

@@ -39,6 +39,15 @@ struct PreparedTriple {
   PreparedTerm object;
 };
 
+/// A triple compiled for comparisons with many queries, such as a
+/// FastMap pivot (TripleDistance::Compile). Points into the Triple its
+/// PreparedTriple was prepared from, which must outlive it.
+struct CompiledTriple {
+  CompiledTerm subject;
+  CompiledTerm predicate;
+  CompiledTerm object;
+};
+
 /// The composite semantic distance between triples; values in [0,1].
 ///
 /// Copyable and cheap to pass by value; the taxonomy is shared, not
@@ -56,11 +65,17 @@ class TripleDistance {
   /// Resolves the triple's terms once (see PreparedTriple).
   PreparedTriple Prepare(const Triple& t) const;
 
+  /// Compiles a prepared triple term by term (CompiledTerm); with the
+  /// default options that is one literal pattern and two concept rows.
+  CompiledTriple Compile(const PreparedTriple& t) const;
+
   /// Eq. (1). The Triple overload prepares both sides, then evaluates.
   double operator()(const PreparedTriple& a, const PreparedTriple& b) const;
   double operator()(const Triple& a, const Triple& b) const {
     return (*this)(Prepare(a), Prepare(b));
   }
+  /// Eq. (1) against a compiled `b`: bit for bit the prepared form.
+  double operator()(const PreparedTriple& a, const CompiledTriple& b) const;
 
   /// The three sub-distances of Eq. (1), unweighted (ds, dp, do).
   struct Components {
@@ -81,6 +96,12 @@ class TripleDistance {
   TripleDistance(const Taxonomy* taxonomy, TripleDistanceWeights weights,
                  ElementDistanceOptions element_options)
       : weights_(weights), element_(taxonomy, element_options) {}
+
+  // The weighted sum of Eq. (1), one expression for every form.
+  double Combine(const Components& c) const {
+    return weights_.alpha * c.subject + weights_.beta * c.predicate +
+           weights_.gamma * c.object;
+  }
 
   TripleDistanceWeights weights_;
   ElementDistance element_;

@@ -18,7 +18,6 @@ struct QueryEngine::TaskOutput {
   size_t truncated = 0;
   SearchStats search;
   size_t partitions_visited = 0;
-  std::vector<double> latencies_us;
   Status status;
 };
 
@@ -162,13 +161,11 @@ void QueryEngine::RunOneUnsynced(const SpatialQuery& q, QueryOutcome* o,
   if (o->truncated) ++out->truncated;
 }
 
-void QueryEngine::RunLocalSpan(const SpatialQuery* batch, size_t lo,
-                               size_t hi,
-                               std::vector<QueryOutcome>* outcomes,
-                               TaskOutput* out) {
-  for (size_t i = lo; i < hi; ++i) {
-    const SpatialQuery& q = batch[i];
-    QueryOutcome& o = (*outcomes)[i];
+void QueryEngine::RunLocalSpan(const SpatialQuery* queries, size_t n,
+                               QueryOutcome* outcomes, TaskOutput* out) {
+  for (size_t i = 0; i < n; ++i) {
+    const SpatialQuery& q = queries[i];
+    QueryOutcome& o = outcomes[i];
     Stopwatch sw;
     if (unsynced_index_ != nullptr) {
       RunOneUnsynced(q, &o, out);
@@ -210,13 +207,12 @@ void QueryEngine::RunLocalSpan(const SpatialQuery* batch, size_t lo,
       if (o.truncated) ++out->truncated;
     }
     o.latency_us = sw.ElapsedMicros();
-    out->latencies_us.push_back(o.latency_us);
   }
 }
 
-Status QueryEngine::RunDistributedSpan(
-    const SpatialQuery* batch, size_t lo, size_t hi,
-    std::vector<QueryOutcome>* outcomes, TaskOutput* out) {
+Status QueryEngine::RunDistributedSpan(const SpatialQuery* queries,
+                                       size_t n, QueryOutcome* outcomes,
+                                       TaskOutput* out) {
   Stopwatch sw;
   // Mutation epoch + rebalance epoch (see epoch()): read once per
   // span, so a rebalance step landing mid-span invalidates both this
@@ -225,13 +221,13 @@ Status QueryEngine::RunDistributedSpan(
                 tree_->rebalance_epoch();
 
   // Probe the cache first; only the misses go to the tree, all in one
-  // BatchSearch call that keeps them in flight together.
+  // BatchSearch call that keeps them in flight together. A span of
+  // hits allocates no miss list.
   std::vector<size_t> miss;
-  miss.reserve(hi - lo);
-  for (size_t i = lo; i < hi; ++i) {
-    QueryOutcome& o = (*outcomes)[i];
+  for (size_t i = 0; i < n; ++i) {
+    QueryOutcome& o = outcomes[i];
     if (cache_ != nullptr &&
-        cache_->Lookup(CacheKey::Make(batch[i], ep), &o.neighbors,
+        cache_->Lookup(CacheKey::Make(queries[i], ep), &o.neighbors,
                        &o.truncated)) {
       o.from_cache = true;
       ++out->cache_hits;
@@ -244,19 +240,19 @@ Status QueryEngine::RunDistributedSpan(
   if (!miss.empty()) {
     std::vector<SpatialQuery> sub;
     sub.reserve(miss.size());
-    for (size_t i : miss) sub.push_back(batch[i]);
+    for (size_t i : miss) sub.push_back(queries[i]);
     DistributedSearchStats dstats;
     std::vector<uint8_t> truncated;
     auto results = tree_->BatchSearch(sub, &dstats, &truncated);
     if (!results.ok()) return results.status();
     out->partitions_visited += dstats.partitions_visited;
     for (size_t j = 0; j < miss.size(); ++j) {
-      QueryOutcome& o = (*outcomes)[miss[j]];
+      QueryOutcome& o = outcomes[miss[j]];
       o.neighbors = std::move((*results)[j]);
       o.truncated = truncated[j] != 0;
       if (o.truncated) ++out->truncated;
       if (cache_ != nullptr) {
-        cache_->Put(CacheKey::Make(batch[miss[j]], ep), o.neighbors,
+        cache_->Put(CacheKey::Make(queries[miss[j]], ep), o.neighbors,
                     o.truncated);
       }
     }
@@ -264,24 +260,23 @@ Status QueryEngine::RunDistributedSpan(
 
   // One BatchSearch call answers the whole span, so each query is
   // charged the span's wall time (see QueryOutcome::latency_us).
-  double span_us = sw.ElapsedMicros();
-  for (size_t i = lo; i < hi; ++i) {
-    (*outcomes)[i].latency_us = span_us;
-    out->latencies_us.push_back(span_us);
-  }
+  const double span_us = sw.ElapsedMicros();
+  for (size_t i = 0; i < n; ++i) outcomes[i].latency_us = span_us;
   return Status::OK();
 }
 
-void QueryEngine::FinalizeStats(std::vector<TaskOutput>& parts,
+void QueryEngine::FinalizeStats(const std::vector<TaskOutput>& parts,
                                 BatchResult* result) {
-  std::vector<double> latencies;
-  for (TaskOutput& part : parts) {
+  for (const TaskOutput& part : parts) {
     result->stats.cache_hits += part.cache_hits;
     result->stats.truncated_queries += part.truncated;
     result->stats.partitions_visited += part.partitions_visited;
     Accumulate(part.search, &result->stats.search);
-    latencies.insert(latencies.end(), part.latencies_us.begin(),
-                     part.latencies_us.end());
+  }
+  std::vector<double> latencies;
+  latencies.reserve(result->outcomes.size());
+  for (const QueryOutcome& o : result->outcomes) {
+    latencies.push_back(o.latency_us);
   }
   std::sort(latencies.begin(), latencies.end());
   result->stats.latency.p50_us = Percentile(latencies, 0.50);
@@ -318,11 +313,12 @@ Result<BatchResult> QueryEngine::Run(
     size_t hi = std::min(batch.size(), lo + chunk);
     futures.push_back(pool_.Submit([this, &batch, lo, hi, &result,
                                     part = &parts[t]]() {
+      const SpatialQuery* queries = batch.data() + lo;
+      QueryOutcome* outcomes = result.outcomes.data() + lo;
       if (index_ != nullptr) {
-        RunLocalSpan(batch.data(), lo, hi, &result.outcomes, part);
+        RunLocalSpan(queries, hi - lo, outcomes, part);
       } else {
-        part->status = RunDistributedSpan(batch.data(), lo, hi,
-                                          &result.outcomes, part);
+        part->status = RunDistributedSpan(queries, hi - lo, outcomes, part);
       }
     }));
   }
@@ -338,15 +334,14 @@ Result<BatchResult> QueryEngine::Run(
 
 Result<QueryOutcome> QueryEngine::RunOne(const SpatialQuery& query) {
   SEMTREE_RETURN_NOT_OK(ValidateOne(query, 0));
-  std::vector<QueryOutcome> outcomes(1);
+  QueryOutcome outcome;
   TaskOutput out;
   if (index_ != nullptr) {
-    RunLocalSpan(&query, 0, 1, &outcomes, &out);
+    RunLocalSpan(&query, 1, &outcome, &out);
   } else {
-    SEMTREE_RETURN_NOT_OK(
-        RunDistributedSpan(&query, 0, 1, &outcomes, &out));
+    SEMTREE_RETURN_NOT_OK(RunDistributedSpan(&query, 1, &outcome, &out));
   }
-  return std::move(outcomes[0]);
+  return outcome;
 }
 
 Status QueryEngine::SaveSnapshot(const std::string& path) {

@@ -125,9 +125,9 @@ class QueryEngine {
   /// open-loop workload driver (workload/driver.h, DESIGN.md §9)
   /// issues through. Semantically a one-element Run() (same
   /// validation, default-budget inheritance, caching and truncation
-  /// replay), but with no worker fan-out, no batch aggregation and no
-  /// per-call allocation beyond the outcome itself, so driving the
-  /// engine op-by-op does not perturb the batch hot path.
+  /// replay), but with no worker fan-out and no batch aggregation: the
+  /// query runs straight into its outcome, so a cache hit allocates
+  /// only its cache key's coordinates and its answer.
   Result<QueryOutcome> RunOne(const SpatialQuery& query);
 
   /// Inserts through to the target and advances the cache epoch.
@@ -177,15 +177,15 @@ class QueryEngine {
   // After a lock-free mutation: evict drained versions' cache entries
   // once per oldest_live_epoch advance.
   void MaybeEvictDrainedVersions();
-  // Spans address `batch[lo..hi)` through a raw pointer so RunOne can
-  // execute a single caller-owned query without materializing a batch.
-  void RunLocalSpan(const SpatialQuery* batch, size_t lo, size_t hi,
-                    std::vector<QueryOutcome>* outcomes, TaskOutput* out);
-  Status RunDistributedSpan(const SpatialQuery* batch, size_t lo,
-                            size_t hi,
-                            std::vector<QueryOutcome>* outcomes,
-                            TaskOutput* out);
-  void FinalizeStats(std::vector<TaskOutput>& parts, BatchResult* result);
+  // A span runs `n` queries into the `n` outcomes aligned with them,
+  // so RunOne can run a single caller-owned query into one outcome
+  // without materializing a batch. Each outcome gets its latency.
+  void RunLocalSpan(const SpatialQuery* queries, size_t n,
+                    QueryOutcome* outcomes, TaskOutput* out);
+  Status RunDistributedSpan(const SpatialQuery* queries, size_t n,
+                            QueryOutcome* outcomes, TaskOutput* out);
+  void FinalizeStats(const std::vector<TaskOutput>& parts,
+                     BatchResult* result);
 
   // Exactly one target is non-null. The pointer itself is set once in
   // the constructor; what index_mu_ guards is the *pointee* — searches

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 
 #include "common/random.h"
@@ -199,8 +201,12 @@ std::vector<double> FastMap::Coordinates(size_t i) const {
   return out;
 }
 
-std::vector<double> FastMap::Project(
-    const std::function<double(size_t)>& distance_to_training) const {
+std::vector<double> FastMap::Project(std::span<const double> to_pivots) const {
+  if (to_pivots.size() != 2 * effective_dimensions_) {
+    std::fprintf(stderr, "FastMap::Project: %zu pivot distances for %zu axes\n",
+                 to_pivots.size(), effective_dimensions_);
+    std::abort();
+  }
   std::vector<double> q(dimensions_, 0.0);
   for (size_t axis = 0; axis < effective_dimensions_; ++axis) {
     auto [a, b] = pivots_[axis];
@@ -208,8 +214,7 @@ std::vector<double> FastMap::Project(
     // Residual squared distance from the query to each pivot at this
     // axis, from the original distance minus the coordinates fixed on
     // previous axes.
-    auto residual2 = [&](size_t pivot) {
-      double d = distance_to_training(pivot);
+    auto residual2 = [&](size_t pivot, double d) {
       double d2 = d * d;
       for (size_t l = 0; l < axis; ++l) {
         double diff = q[l] - AtConst(pivot, l);
@@ -217,8 +222,8 @@ std::vector<double> FastMap::Project(
       }
       return std::max(0.0, d2);
     };
-    double daq2 = residual2(a);
-    double dbq2 = residual2(b);
+    double daq2 = residual2(a, to_pivots[2 * axis]);
+    double dbq2 = residual2(b, to_pivots[2 * axis + 1]);
     q[axis] = (daq2 + dab * dab - dbq2) / (2.0 * dab);
   }
   return q;

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -116,11 +117,12 @@ class FastMap {
       std::vector<std::pair<size_t, size_t>> pivots,
       std::vector<double> pivot_distances);
 
-  /// Projects an out-of-sample object into the embedding. The caller
-  /// supplies the *original-space* distance from the query to any
-  /// training object index; it is invoked only for pivot indices.
-  std::vector<double> Project(
-      const std::function<double(size_t)>& distance_to_training) const;
+  /// Projects an out-of-sample object into the embedding from its
+  /// *original-space* distances to the pivots, in axis order: entry
+  /// 2·axis is the distance to pivots()[axis].first and 2·axis + 1 to
+  /// pivots()[axis].second. Aborts unless there are exactly
+  /// 2 · effective_dimensions() of them.
+  std::vector<double> Project(std::span<const double> to_pivots) const;
 
   /// Euclidean distance between two embedded coordinate vectors.
   static double EmbeddedDistance(const std::vector<double>& a,

@@ -62,6 +62,7 @@ Result<ConceptId> Taxonomy::AddConceptUnder(
   by_name_[key] = id;
   for (ConceptId p : nodes_[id].parents) nodes_[p].children.push_back(id);
   ic_.valid.store(false, std::memory_order_relaxed);
+  ++generation_;
   return id;
 }
 
@@ -96,6 +97,7 @@ Status Taxonomy::AddParent(ConceptId child, ConceptId parent) {
     max_depth_ = std::max(max_depth_, Depth(d));
   }
   ic_.valid.store(false, std::memory_order_relaxed);
+  ++generation_;
   return Status::OK();
 }
 
@@ -112,6 +114,7 @@ Status Taxonomy::AddSynonym(std::string_view alias, ConceptId canonical) {
         StringPrintf("name '%s' already taken", key.c_str()));
   }
   aliases_[key] = canonical;
+  ++generation_;
   return Status::OK();
 }
 
@@ -127,6 +130,7 @@ Status Taxonomy::AddAntonym(ConceptId a, ConceptId b) {
   }
   nodes_[a].antonyms.push_back(b);
   nodes_[b].antonyms.push_back(a);
+  ++generation_;
   return Status::OK();
 }
 
@@ -134,17 +138,18 @@ Status Taxonomy::AddFrequency(ConceptId c, uint64_t count) {
   if (c >= nodes_.size()) return Status::NotFound("unknown concept id");
   nodes_[c].frequency += count;
   ic_.valid.store(false, std::memory_order_relaxed);
+  ++generation_;
   return Status::OK();
 }
 
 Result<ConceptId> Taxonomy::Find(std::string_view name) const {
-  std::string key(name);
-  auto it = by_name_.find(key);
+  auto it = by_name_.find(name);
   if (it != by_name_.end()) return it->second;
-  auto alias_it = aliases_.find(key);
+  auto alias_it = aliases_.find(name);
   if (alias_it != aliases_.end()) return alias_it->second;
-  return Status::NotFound(
-      StringPrintf("concept '%s' not in taxonomy", key.c_str()));
+  return Status::NotFound(StringPrintf("concept '%.*s' not in taxonomy",
+                                       static_cast<int>(name.size()),
+                                       name.data()));
 }
 
 bool Taxonomy::Contains(std::string_view name) const {

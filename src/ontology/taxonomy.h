@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -53,6 +54,10 @@ class Taxonomy {
 
   /// Number of concepts (aliases excluded).
   size_t size() const { return nodes_.size(); }
+
+  /// Counts successful mutations: every mutator below bumps it, so a
+  /// result computed from this taxonomy is current while it holds.
+  uint64_t generation() const { return generation_; }
 
   // ---------------------------------------------------------------------
   // Construction
@@ -219,10 +224,22 @@ class Taxonomy {
   void EnsureInformationContent() const;
   bool WouldCreateCycle(ConceptId child, ConceptId parent) const;
 
+  // Hashes names as string_views, so Find looks a view up without
+  // copying it into a std::string first.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  using NameMap =
+      std::unordered_map<std::string, ConceptId, NameHash, std::equal_to<>>;
+
   std::vector<Node> nodes_;
-  std::unordered_map<std::string, ConceptId> by_name_;
-  std::unordered_map<std::string, ConceptId> aliases_;
+  NameMap by_name_;
+  NameMap aliases_;
   size_t max_depth_ = 0;
+  uint64_t generation_ = 0;
   mutable InformationContentCache ic_;
 };
 

@@ -52,10 +52,7 @@ std::vector<int32_t> Partition::AdoptRoots(size_t count) {
   std::vector<int32_t> out;
   // Reuse the pristine initial root so adopted partitions do not keep
   // an orphan empty leaf around.
-  if (count > 0 && points_ == 0 && roots_.size() == 1 && nodes_.size() == 1 &&
-      nodes_[0].is_leaf && !nodes_[0].is_dead && nodes_[0].bucket.empty()) {
-    out.push_back(roots_[0]);
-  }
+  if (count > 0 && pristine()) out.push_back(roots_[0]);
   while (out.size() < count) {
     out.push_back(NewLeaf());
     roots_.push_back(out.back());
@@ -335,6 +332,7 @@ PartitionStats Partition::Stats() const {
   stats.load_ops = load_ops_;
   stats.load_distances = load_distances_;
   stats.rebalances = rebalances_;
+  stats.pristine = pristine();
   WalkLocal(roots_, [&](const WalkFrame& f, const PNode& n) {
     ++stats.nodes;
     stats.local_depth = std::max(stats.local_depth, f.depth);

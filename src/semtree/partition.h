@@ -39,6 +39,9 @@ struct ChildRef {
 /// Statistics of one partition, as reported by its stats handler.
 struct PartitionStats {
   int32_t id = -1;
+  /// Partition::pristine(). Next to `id`, it sits in padding, so the
+  /// stats message's size estimate (sizeof) is unchanged.
+  bool pristine = false;
   size_t points = 0;       ///< Points stored in local leaf buckets.
   size_t nodes = 0;        ///< Live local nodes.
   size_t leaves = 0;       ///< Live local leaf nodes.
@@ -114,11 +117,20 @@ class Partition {
   const std::vector<int32_t>& roots() const { return roots_; }
   int32_t root_node() const { return roots_[0]; }
 
+  /// True while the partition has never held a point or a second node:
+  /// its one root is still the initial empty leaf. Removing every point
+  /// does not make a partition pristine again, because the routing
+  /// nodes its inserts split stay.
+  bool pristine() const {
+    return points_ == 0 && roots_.size() == 1 && nodes_.size() == 1 &&
+           nodes_[0].is_leaf && !nodes_[0].is_dead &&
+           nodes_[0].bucket.empty();
+  }
+
   /// Registers `count` fresh leaves as additional subtree roots
   /// (adoption targets) and returns their indexes, in order. The first
-  /// reuses the initial empty root when this partition has never
-  /// stored anything, so a fresh partition adopts the roots 0 ..
-  /// count-1.
+  /// reuses the initial empty root when the partition is pristine, so
+  /// a fresh partition adopts the roots 0 .. count-1.
   std::vector<int32_t> AdoptRoots(size_t count);
   PNode& node(int32_t idx) { return nodes_[static_cast<size_t>(idx)]; }
   const PNode& node(int32_t idx) const {

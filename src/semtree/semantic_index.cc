@@ -109,38 +109,35 @@ Status SemanticIndex::BuildTree() {
 
 void SemanticIndex::SetFastMap(FastMap fastmap) {
   fastmap_ = std::make_unique<FastMap>(std::move(fastmap));
-  std::vector<size_t> ids;
-  for (const auto& [a, b] : fastmap_->pivots()) ids.insert(ids.end(), {a, b});
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   pivots_.clear();
-  for (size_t i : ids) pivots_.emplace_back(i, distance_.Prepare(corpus_[i]));
-}
-
-const PreparedTriple& SemanticIndex::Pivot(size_t train_index) const {
-  // FastMap::Project asks only for pivot indices.
-  auto it = std::lower_bound(
-      pivots_.begin(), pivots_.end(), train_index,
-      [](const auto& entry, size_t i) { return entry.first < i; });
-  return it->second;
+  for (const auto& [a, b] : fastmap_->pivots()) {
+    pivots_.push_back(distance_.Compile(distance_.Prepare(corpus_[a])));
+    pivots_.push_back(distance_.Compile(distance_.Prepare(corpus_[b])));
+  }
 }
 
 std::vector<double> SemanticIndex::Embed(const Triple& query) const {
-  const PreparedTriple prepared = distance_.Prepare(query);
-  return fastmap_->Project([this, &prepared](size_t train_index) {
-    return distance_(prepared, Pivot(train_index));
-  });
+  return Embed(distance_.Prepare(query));
+}
+
+std::vector<double> SemanticIndex::Embed(const PreparedTriple& query) const {
+  std::vector<double> to_pivots(pivots_.size());
+  for (size_t i = 0; i < pivots_.size(); ++i) {
+    to_pivots[i] = distance_(query, pivots_[i]);
+  }
+  return fastmap_->Project(to_pivots);
 }
 
 std::vector<SemanticIndex::Hit> SemanticIndex::MakeHits(
-    const Triple& query, const std::vector<Neighbor>& neighbors) const {
+    const PreparedTriple& query,
+    const std::vector<Neighbor>& neighbors) const {
   std::vector<Hit> hits;
   hits.reserve(neighbors.size());
   for (const Neighbor& n : neighbors) {
     Hit hit;
     hit.id = n.id;
     hit.embedded_distance = n.distance;
-    hit.semantic_distance = distance_(query, corpus_[n.id]);
+    hit.semantic_distance = distance_(query, distance_.Prepare(corpus_[n.id]));
     hits.push_back(hit);
   }
   if (options_.rerank_by_semantic_distance) {
@@ -154,18 +151,18 @@ std::vector<SemanticIndex::Hit> SemanticIndex::MakeHits(
 
 Result<std::vector<SemanticIndex::Hit>> SemanticIndex::KnnQuery(
     const Triple& query, size_t k) const {
-  std::vector<double> embedded = Embed(query);
+  const PreparedTriple prepared = distance_.Prepare(query);
   SEMTREE_ASSIGN_OR_RETURN(std::vector<Neighbor> neighbors,
-                           tree_->KnnSearch(embedded, k));
-  return MakeHits(query, neighbors);
+                           tree_->KnnSearch(Embed(prepared), k));
+  return MakeHits(prepared, neighbors);
 }
 
 Result<std::vector<SemanticIndex::Hit>> SemanticIndex::RangeQuery(
     const Triple& query, double radius) const {
-  std::vector<double> embedded = Embed(query);
+  const PreparedTriple prepared = distance_.Prepare(query);
   SEMTREE_ASSIGN_OR_RETURN(std::vector<Neighbor> neighbors,
-                           tree_->RangeSearch(embedded, radius));
-  return MakeHits(query, neighbors);
+                           tree_->RangeSearch(Embed(prepared), radius));
+  return MakeHits(prepared, neighbors);
 }
 
 }  // namespace semtree

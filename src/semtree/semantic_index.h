@@ -118,8 +118,8 @@ class SemanticIndex {
   }
 
   /// Projects a triple into the FastMap space of this index. Resolves
-  /// the query's terms once and compares it with the prepared pivots
-  /// only; safe to call from many threads at once.
+  /// the query's terms once and compares it with the compiled pivots
+  /// only (DESIGN.md §13); safe to call from many threads at once.
   std::vector<double> Embed(const Triple& query) const;
 
   /// The configured Eq. (1) distance (element-level access included).
@@ -140,15 +140,15 @@ class SemanticIndex {
         distance_(std::move(distance)),
         corpus_(std::move(corpus)) {}
 
-  std::vector<Hit> MakeHits(const Triple& query,
+  /// Embed of a prepared query.
+  std::vector<double> Embed(const PreparedTriple& query) const;
+
+  std::vector<Hit> MakeHits(const PreparedTriple& query,
                             const std::vector<Neighbor>& neighbors) const;
 
-  /// Installs the trained embedding and prepares its pivot triples
+  /// Installs the trained embedding and compiles its pivot triples
   /// (shared by Build, Restore and RestoreWithTree).
   void SetFastMap(FastMap fastmap);
-
-  /// The prepared corpus triple at a pivot's training index.
-  const PreparedTriple& Pivot(size_t train_index) const;
 
   /// Stands up the SemTree over fastmap_'s coordinates (shared tail of
   /// Build and Restore).
@@ -158,9 +158,10 @@ class SemanticIndex {
   TripleDistance distance_;
   std::vector<Triple> corpus_;
   std::unique_ptr<FastMap> fastmap_;
-  /// (training index, prepared corpus triple) of every distinct pivot,
-  /// sorted by index. Points into corpus_, which never changes.
-  std::vector<std::pair<size_t, PreparedTriple>> pivots_;
+  /// The pivots of every effective axis in FastMap::Project's order
+  /// (a, then b, axis by axis), compiled. Point into corpus_, which
+  /// never changes.
+  std::vector<CompiledTriple> pivots_;
   std::unique_ptr<SemTree> tree_;
 };
 

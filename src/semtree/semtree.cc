@@ -584,8 +584,7 @@ void SemTree::HandleInstallTopology(Partition* p, const Message& msg) {
   InstallTopologyResponse resp;
   if (req.skeleton.empty()) {
     resp.error = "empty skeleton";
-  } else if (!(p->node(p->root_node()).is_leaf &&
-               p->node(p->root_node()).bucket.empty())) {
+  } else if (!p->pristine()) {
     resp.error = "root partition is not pristine";
   } else {
     // skeleton[0] overlays the partition root; the rest get fresh
@@ -708,9 +707,19 @@ Status SemTree::BulkLoadBalanced(std::vector<KdPoint> points) {
 }
 
 Status SemTree::BulkLoadBalanced(PointBlock points) {
-  if (size() != 0) {
+  // The load builds under partition 0's first root and makes every
+  // other partition itself, so only a fresh tree takes it. Emptied by
+  // removes, a tree keeps the routing nodes its inserts split.
+  if (PartitionCount() != 1) {
     return Status::FailedPrecondition(
-        "bulk load requires an empty tree");
+        "bulk load requires a fresh tree, but partitions were added");
+  }
+  SEMTREE_ASSIGN_OR_RETURN(std::vector<StatsResponse> root,
+                           StatsRound({0}, StatsRequest{}));
+  if (!root[0].stats.pristine) {
+    return Status::FailedPrecondition(
+        "bulk load requires a fresh tree, but the root partition has "
+        "held points");
   }
   if (points.empty()) return Status::OK();
   if (points.dimensions != options_.dimensions) {
@@ -784,7 +793,6 @@ Status SemTree::BulkLoadBalanced(PointBlock points) {
     auto& resp = PayloadAs<BulkBuildResponse>(payload);
     region_refs[r] = ChildRef{pending[r].partition, resp.roots[0]};
   }
-  total_points_.fetch_add(count, std::memory_order_relaxed);
 
   // Patch region placeholders with the real ChildRefs and install the
   // skeleton in the root partition.
@@ -807,6 +815,7 @@ Status SemTree::BulkLoadBalanced(PointBlock points) {
           bytes));
   auto& resp = PayloadAs<InstallTopologyResponse>(payload);
   if (!resp.ok) return Status::Internal(resp.error);
+  total_points_.fetch_add(count, std::memory_order_relaxed);
   return Status::OK();
 }
 

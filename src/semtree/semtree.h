@@ -149,7 +149,11 @@ class SemTree {
   /// region is shipped as one contiguous PointBlock and built as a
   /// balanced subtree on its own compute node in parallel, and the
   /// routing skeleton is installed in the root partition. Fails with
-  /// FailedPrecondition on a non-empty tree.
+  /// FailedPrecondition, before building or counting anything, unless
+  /// the tree is fresh: one partition whose root has never held a point
+  /// (Partition::pristine). A tree emptied by removes is not fresh: it
+  /// keeps the routing nodes its inserts split. The size grows only
+  /// once the load is linked from the root.
   Status BulkLoadBalanced(PointBlock points);
   Status BulkLoadBalanced(std::vector<KdPoint> points);
 

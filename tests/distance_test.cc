@@ -1,11 +1,11 @@
 // Copyright 2026 The SemTree Authors
 //
 // Tests for src/distance: Eq. (1) semantics, element dispatch,
-// prepared triples, distance matrices, concurrent first use of a fresh
-// vocabulary, and the metric audit.
+// prepared and compiled triples, distance matrices, concurrent first
+// use of a fresh vocabulary, and the metric audit.
 
 #include <cstring>
-#include <thread>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -15,10 +15,13 @@
 #include "distance/triple_distance.h"
 #include "nlp/requirements_corpus.h"
 #include "ontology/requirements_vocabulary.h"
-#include "semtree/semantic_index.h"
 
 namespace semtree {
 namespace {
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
 
 // ---------------------------------------------------------------------
 // Weights
@@ -212,6 +215,105 @@ TEST_F(TripleDistanceTest, PreparedResolvesConceptsOnce) {
 }
 
 // ---------------------------------------------------------------------
+// Compiled triples
+
+// Triples that reach every branch of the element dispatch from either
+// side: a synonym, mixed kinds, out-of-vocabulary concepts, an empty
+// literal, a literal longer than a Levenshtein pattern, and bytes of
+// 0x80 and above.
+std::vector<Triple> EdgeTriples() {
+  const Term startup = Term::Concept("startup_cmd", "CmdType");
+  return {
+      Triple(Term::Literal("OBSW001"), Term::Concept("accept_cmd", "Fun"),
+             startup),
+      Triple(Term::Literal("OBSW001"), Term::Concept("reject_cmd", "Fun"),
+             startup),  // reject_cmd is a synonym of block_cmd.
+      Triple(Term::Literal("OBSW001"), Term::Concept("block_cmd", "Fun"),
+             startup),
+      Triple(Term::Concept("obsw_component"), Term::Literal("accept_cmd"),
+             Term::Concept("boot", "CmdType")),
+      Triple(Term::Literal("PSU900"), Term::Concept("no_such_function", "Fun"),
+             Term::Concept("no_such_param", "Type")),
+      Triple(Term::Literal(""), Term::Concept("send_msg", "Fun"), startup),
+      Triple(Term::Literal(std::string(70, 'O') + "BSW001"),
+             Term::Concept("accept_cmd", "Fun"), startup),
+      Triple(Term::Literal("\xc3\x89t\xc3\xa9-\xff"),
+             Term::Concept("transmit_msg", "Fun"),
+             Term::Concept("no_such_param", "Type")),
+  };
+}
+
+TEST_F(TripleDistanceTest, CompiledEqualsPreparedBitForBit) {
+  CorpusOptions copts;
+  copts.num_documents = 120;
+  copts.min_requirements_per_doc = 40;
+  copts.max_requirements_per_doc = 60;
+  copts.num_actors = 100;
+  copts.seed = 19;
+  RequirementsCorpusGenerator gen(&vocab_, copts);
+  auto corpus = gen.GenerateTriples();
+  ASSERT_TRUE(corpus.ok());
+  ASSERT_GE(corpus->size(), 5000u);
+  corpus->resize(5000);
+  // Pivots: the edge triples and corpus triples. Queries: the corpus
+  // and every pivot, so each pivot also meets itself (equal terms).
+  std::vector<Triple> pivots = EdgeTriples();
+  for (size_t i = 0; i < corpus->size(); i += 500) {
+    pivots.push_back((*corpus)[i]);
+  }
+  std::vector<Triple> queries = *corpus;
+  queries.insert(queries.end(), pivots.begin(), pivots.end());
+
+  for (SimilarityMeasure measure :
+       {SimilarityMeasure::kWuPalmer, SimilarityMeasure::kPath,
+        SimilarityMeasure::kLeacockChodorow, SimilarityMeasure::kResnik,
+        SimilarityMeasure::kLin}) {
+    for (StringDistanceKind kind : {StringDistanceKind::kNormalizedLevenshtein,
+                                    StringDistanceKind::kJaroWinkler,
+                                    StringDistanceKind::kBigramDice}) {
+      SCOPED_TRACE(std::string(SimilarityMeasureName(measure)) + " / " +
+                   std::to_string(static_cast<int>(kind)));
+      ElementDistanceOptions element;
+      element.concept_measure = measure;
+      element.string_distance = kind;
+      auto dist = TripleDistance::Make(&vocab_, {0.5, 0.3, 0.2}, element);
+      ASSERT_TRUE(dist.ok());
+      std::vector<PreparedTriple> prepared;
+      std::vector<CompiledTriple> compiled;
+      for (const Triple& p : pivots) {
+        prepared.push_back(dist->Prepare(p));
+        compiled.push_back(dist->Compile(prepared.back()));
+      }
+      size_t mismatches = 0;
+      for (const Triple& q : queries) {
+        const PreparedTriple pq = dist->Prepare(q);
+        for (size_t i = 0; i < pivots.size(); ++i) {
+          if (!SameBits((*dist)(pq, compiled[i]), (*dist)(pq, prepared[i]))) {
+            ADD_FAILURE() << q.ToString() << " vs " << pivots[i].ToString();
+            if (++mismatches == 5) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(TripleDistanceTest, CompileKeepsWhatEachTermNeeds) {
+  auto dist = TripleDistance::Make(&vocab_);
+  ASSERT_TRUE(dist.ok());
+  const std::vector<Triple> edges = EdgeTriples();
+  const CompiledTriple resolved = dist->Compile(dist->Prepare(edges[1]));
+  ASSERT_NE(resolved.subject.pattern, nullptr);  // A short literal.
+  EXPECT_TRUE(resolved.subject.concept_row.empty());
+  EXPECT_EQ(resolved.predicate.pattern, nullptr);
+  EXPECT_EQ(resolved.predicate.concept_row.size(), vocab_.size());
+  const CompiledTriple fallback = dist->Compile(dist->Prepare(edges[6]));
+  EXPECT_EQ(fallback.subject.pattern, nullptr);  // Longer than 64 bytes.
+  const CompiledTriple unknown = dist->Compile(dist->Prepare(edges[4]));
+  EXPECT_TRUE(unknown.predicate.concept_row.empty());  // Not in vocabulary.
+}
+
+// ---------------------------------------------------------------------
 // Distance matrix
 
 TEST_F(TripleDistanceTest, MatrixMatchesDirectComputation) {
@@ -253,12 +355,8 @@ TEST_F(TripleDistanceTest, ParallelMatrixEqualsSequential) {
 
 // ---------------------------------------------------------------------
 // Concurrent first use. Reads of a taxonomy write nothing except the
-// information-content table, built on first use under a lock; these
-// tests make that first use concurrent (the suite runs under TSan).
-
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
+// information-content table, built on first use under a lock; this
+// test makes that first use concurrent (the suite runs under TSan).
 
 TEST(DistanceConcurrencyTest, FreshVocabularyFirstUsedByFourThreads) {
   const Taxonomy reference_vocab = RequirementsVocabulary();
@@ -281,41 +379,6 @@ TEST(DistanceConcurrencyTest, FreshVocabularyFirstUsedByFourThreads) {
       for (size_t j = i + 1; j < want.size(); ++j) {
         ASSERT_TRUE(SameBits(got.At(i, j), want.At(i, j))) << i << ' ' << j;
       }
-    }
-  }
-}
-
-TEST(DistanceConcurrencyTest, FirstEmbedsAfterRestoreAreConcurrent) {
-  Taxonomy vocab = RequirementsVocabulary();
-  RequirementsCorpusGenerator gen(&vocab, {.num_documents = 10, .seed = 31});
-  auto corpus = gen.GenerateTriples();
-  ASSERT_TRUE(corpus.ok());
-  SemanticIndexOptions opts;
-  opts.fastmap.dimensions = 4;
-  opts.element.concept_measure = SimilarityMeasure::kLin;
-  auto built = SemanticIndex::Build(&vocab, *corpus, opts);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-
-  // Restore skips training, so the restored index's first Embeds are
-  // the first reads of its fresh vocabulary.
-  const Taxonomy fresh = RequirementsVocabulary();
-  auto restored =
-      SemanticIndex::Restore(&fresh, *corpus, (*built)->fastmap(), opts);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  constexpr size_t kThreads = 4;
-  std::vector<std::vector<std::vector<double>>> got(kThreads);
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < kThreads; ++c) {
-    clients.emplace_back([&, c] {
-      for (size_t i = c; i < corpus->size(); i += kThreads) {
-        got[c].push_back((*restored)->Embed((*corpus)[i]));
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  for (size_t c = 0; c < kThreads; ++c) {
-    for (size_t k = 0; k < got[c].size(); ++k) {
-      EXPECT_EQ(got[c][k], (*built)->Embed((*corpus)[c + k * kThreads]));
     }
   }
 }

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <limits>
 #include <memory>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -22,6 +24,33 @@
 #include "engine/query_engine.h"
 #include "engine/result_cache.h"
 #include "semtree/semtree.h"
+
+namespace semtree {
+namespace {
+
+// Allocations made by the calling thread, counted by the replacement
+// operator new below.
+thread_local size_t t_allocations = 0;
+
+}  // namespace
+}  // namespace semtree
+
+// GCC takes the free() below for a mismatch with "operator new", not
+// seeing that the replacement allocates with malloc.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  ++semtree::t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace semtree {
 namespace {
@@ -501,6 +530,42 @@ TEST(DistributedBatchTest, EngineOverSemTreeMatchesAndCaches) {
   EXPECT_EQ(fresh->stats.cache_hits, 0u);
   ASSERT_FALSE(fresh->outcomes[0].neighbors.empty());
   EXPECT_EQ(fresh->outcomes[0].neighbors[0].id, 7777u);
+}
+
+// ---------------------------------------------------------------------
+// RunOne's cost on a cache hit: the key's coordinates and the answer.
+
+// Allocations of one RunOne that hits the cache, after two runs of the
+// same query have filled and warmed it.
+size_t AllocationsOfAWarmHit(QueryEngine* engine, const SpatialQuery& q) {
+  for (int warm = 0; warm < 2; ++warm) {
+    auto r = engine->RunOne(q);
+    EXPECT_TRUE(r.ok());
+  }
+  const size_t before = t_allocations;
+  Result<QueryOutcome> hit = engine->RunOne(q);
+  const size_t allocations = t_allocations - before;
+  EXPECT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->from_cache);
+  EXPECT_FALSE(hit->neighbors.empty());
+  return allocations;
+}
+
+TEST(EngineAllocationTest, AWarmHitAllocatesOnlyItsKeyAndAnswer) {
+  const size_t kDims = 4;
+  auto rows = RandomVectors(300, kDims, 81);
+  const SpatialQuery q = SpatialQuery::Knn(RandomVectors(1, kDims, 82)[0], 5);
+
+  auto index = MakeSpatialIndex(BackendKind::kKdTree, kDims);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(index->Insert(rows[i], PointId(i)).ok());
+  }
+  QueryEngine sequential(index.get());
+  EXPECT_EQ(AllocationsOfAWarmHit(&sequential, q), 2u);
+
+  auto tree = MakeLoadedTree(rows, /*partitions=*/4);
+  QueryEngine distributed(tree.get());
+  EXPECT_EQ(AllocationsOfAWarmHit(&distributed, q), 2u);
 }
 
 // ---------------------------------------------------------------------

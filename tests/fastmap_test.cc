@@ -47,6 +47,16 @@ class EuclideanOracle {
   std::vector<std::vector<double>> points_;
 };
 
+// FNV-1a, as embedding_golden_test computes it.
+uint64_t Fnv1a(const void* data, size_t size, uint64_t h) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 TEST(FastMapTest, RejectsBadArguments) {
   IndexDistanceFn zero = [](size_t, size_t) { return 0.0; };
   EXPECT_FALSE(FastMap::Train(0, zero, {}).ok());
@@ -154,16 +164,24 @@ TEST(FastMapTest, ProjectMapsTrainingPointsOntoThemselves) {
   auto fm = FastMap::Train(oracle.size(), d, opts);
   ASSERT_TRUE(fm.ok());
   // Re-projecting a training object through the query path must land on
-  // its training coordinates.
+  // its training coordinates. The hash of the projections was captured
+  // when Project took a callback instead of the distances.
+  uint64_t hash = 14695981039346656037ull;
   for (size_t q = 0; q < oracle.size(); q += 5) {
-    std::vector<double> projected =
-        fm->Project([&](size_t train) { return oracle(q, train); });
+    std::vector<double> to_pivots;
+    for (const auto& [a, b] : fm->pivots()) {
+      to_pivots.push_back(oracle(q, a));
+      to_pivots.push_back(oracle(q, b));
+    }
+    std::vector<double> projected = fm->Project(to_pivots);
     std::vector<double> trained = fm->Coordinates(q);
     ASSERT_EQ(projected.size(), trained.size());
     for (size_t axis = 0; axis < projected.size(); ++axis) {
       EXPECT_NEAR(projected[axis], trained[axis], 1e-6) << "axis " << axis;
     }
+    hash = Fnv1a(projected.data(), projected.size() * sizeof(double), hash);
   }
+  EXPECT_EQ(hash, 2229756946358743037ull);
 }
 
 TEST(FastMapTest, DeterministicForSameSeed) {
@@ -195,17 +213,7 @@ TEST(FastMapTest, PivotsAreDistinctPerAxis) {
 // Training cost and thread counts. The hashes were captured before
 // training kept its pivot rows or ran on more than one thread.
 
-// FNV-1a over coordinates, pivot pairs and pivot distances, as
-// embedding_golden_test computes it.
-uint64_t Fnv1a(const void* data, size_t size, uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
+// Over coordinates, pivot pairs and pivot distances.
 uint64_t EmbeddingHash(const FastMap& fm) {
   const std::vector<double>& coords = fm.flat_coordinates();
   uint64_t h = Fnv1a(coords.data(), coords.size() * sizeof(double),

@@ -5,6 +5,8 @@
 // interplay (bulk load + persistence, distributed + rerank).
 
 #include <cstring>
+#include <functional>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -119,6 +121,68 @@ TEST_F(SemanticIndexEdgeTest, EmbedIsDeterministic) {
   EXPECT_NE((*index)->Embed(query), (*index)->Embed(other));
 }
 
+// Embed the prepared way: Eq. (1) from the prepared query to each
+// prepared pivot, in axis order, then projected.
+std::vector<double> PreparedEmbed(const SemanticIndex& index,
+                                  const Triple& query) {
+  const TripleDistance& d = index.distance();
+  const PreparedTriple q = d.Prepare(query);
+  std::vector<double> to_pivots;
+  for (const auto& [a, b] : index.fastmap().pivots()) {
+    to_pivots.push_back(d(q, d.Prepare(index.triple(a))));
+    to_pivots.push_back(d(q, d.Prepare(index.triple(b))));
+  }
+  return index.fastmap().Project(to_pivots);
+}
+
+bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Builds an index over a small corpus under `measure`, applies
+// `mutate` to the taxonomy, and checks that every Embed before and
+// after equals the prepared form, and that the mutation moved some.
+void ExpectEmbedFollowsMutation(Taxonomy* vocab, SimilarityMeasure measure,
+                                const std::function<Status()>& mutate) {
+  RequirementsCorpusGenerator gen(vocab, {.num_documents = 6, .seed = 15});
+  auto triples = gen.GenerateTriples();
+  ASSERT_TRUE(triples.ok());
+  SemanticIndexOptions opts;
+  opts.element.concept_measure = measure;
+  auto index = SemanticIndex::Build(vocab, *triples, opts);
+  ASSERT_TRUE(index.ok());
+  std::vector<std::vector<double>> before;
+  for (const Triple& q : *triples) {
+    before.push_back((*index)->Embed(q));
+    ASSERT_TRUE(SameBytes(before.back(), PreparedEmbed(**index, q)));
+  }
+  ASSERT_TRUE(mutate().ok());
+  size_t moved = 0;
+  for (size_t i = 0; i < triples->size(); ++i) {
+    const std::vector<double> after = (*index)->Embed((*triples)[i]);
+    EXPECT_TRUE(SameBytes(after, PreparedEmbed(**index, (*triples)[i])))
+        << (*triples)[i].ToString();
+    moved += SameBytes(after, before[i]) ? 0 : 1;
+  }
+  EXPECT_GT(moved, 0u);
+}
+
+TEST_F(SemanticIndexEdgeTest, EmbedAfterAddParentIsPrepared) {
+  // accept_cmd under block_cmd: their least common subsumer deepens.
+  ExpectEmbedFollowsMutation(&vocab_, SimilarityMeasure::kWuPalmer, [this] {
+    return vocab_.AddParent(*vocab_.Find("accept_cmd"),
+                            *vocab_.Find("block_cmd"));
+  });
+}
+
+TEST_F(SemanticIndexEdgeTest, EmbedUnderLinAfterAddFrequencyIsPrepared) {
+  // Observed frequencies replace the uniform information content.
+  ExpectEmbedFollowsMutation(&vocab_, SimilarityMeasure::kLin, [this] {
+    return vocab_.AddFrequency(*vocab_.Find("accept_cmd"), 1000);
+  });
+}
+
 TEST_F(SemanticIndexEdgeTest, BulkLoadPersistReloadPipeline) {
   RequirementsCorpusGenerator gen(&vocab_, {.num_documents = 8,
                                             .seed = 11});
@@ -158,10 +222,11 @@ TEST_F(SemanticIndexEdgeTest, HitsExposeBothDistances) {
   auto hits = (*index)->KnnQuery(query, 8);
   ASSERT_TRUE(hits.ok());
   for (const auto& hit : *hits) {
-    // Semantic distance recomputed exactly.
-    EXPECT_DOUBLE_EQ(
-        hit.semantic_distance,
-        (*index)->SemanticDistance(query, (*index)->triple(hit.id)));
+    // Semantic distance recomputed exactly, bit for bit.
+    const double want =
+        (*index)->SemanticDistance(query, (*index)->triple(hit.id));
+    EXPECT_EQ(std::memcmp(&hit.semantic_distance, &want, sizeof(double)), 0)
+        << hit.id;
     EXPECT_GE(hit.embedded_distance, 0.0);
   }
   // Without rerank, ordering follows the embedded distance.
@@ -222,6 +287,43 @@ TEST_F(SemanticIndexEdgeTest, BuildThreadsBuildTheSameBytes) {
     EXPECT_EQ(std::memcmp(ea.data(), eb.data(), ea.size() * sizeof(double)),
               0)
         << q.ToString();
+  }
+}
+
+TEST(SemanticIndexConcurrencyTest, ConcurrentEmbedsShareTheCompiledPivots) {
+  Taxonomy vocab = RequirementsVocabulary();
+  RequirementsCorpusGenerator gen(&vocab, {.num_documents = 10, .seed = 31});
+  auto corpus = gen.GenerateTriples();
+  ASSERT_TRUE(corpus.ok());
+  SemanticIndexOptions opts;
+  opts.fastmap.dimensions = 4;
+  opts.element.concept_measure = SimilarityMeasure::kLin;
+  auto built = SemanticIndex::Build(&vocab, *corpus, opts);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+
+  // Restore compiles the pivots over a fresh vocabulary; then four
+  // clients embed at once against the one compiled set (the suite runs
+  // under TSan).
+  const Taxonomy fresh = RequirementsVocabulary();
+  auto restored =
+      SemanticIndex::Restore(&fresh, *corpus, (*built)->fastmap(), opts);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<std::vector<double>>> got(kThreads);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kThreads; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t i = c; i < corpus->size(); i += kThreads) {
+        got[c].push_back((*restored)->Embed((*corpus)[i]));
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (size_t c = 0; c < kThreads; ++c) {
+    for (size_t k = 0; k < got[c].size(); ++k) {
+      EXPECT_TRUE(SameBytes(got[c][k],
+                            (*built)->Embed((*corpus)[c + k * kThreads])));
+    }
   }
 }
 

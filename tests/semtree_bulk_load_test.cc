@@ -95,6 +95,48 @@ TEST(BulkLoadTest, RequiresEmptyTree) {
                   .IsFailedPrecondition());
 }
 
+TEST(BulkLoadTest, RefusesATreeEmptiedByRemoves) {
+  // The removes leave the routing nodes the inserts split in partition
+  // 0, so a load would build under a root nothing links to (one
+  // region) or count its points before its skeleton is refused
+  // (several regions).
+  for (size_t max_partitions : {1u, 4u}) {
+    SCOPED_TRACE(max_partitions);
+    SemTreeOptions opts;
+    opts.dimensions = 2;
+    opts.bucket_size = 4;
+    opts.max_partitions = max_partitions;
+    auto tree = SemTree::Create(opts);
+    ASSERT_TRUE(tree.ok());
+    SemTree& t = **tree;
+    const std::vector<KdPoint> early = RandomPoints(20, 2, 31);
+    for (const KdPoint& p : early) ASSERT_TRUE(t.Insert(p.coords, p.id).ok());
+    for (const KdPoint& p : early) ASSERT_TRUE(t.Remove(p.coords, p.id).ok());
+    ASSERT_EQ(t.size(), 0u);
+
+    Status st = t.BulkLoadBalanced(RandomPoints(50, 2, 32));
+    EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+    EXPECT_EQ(t.size(), 0u);
+    EXPECT_EQ(t.PartitionCount(), 1u);
+    EXPECT_TRUE(t.CheckInvariants().ok());
+
+    // The tree still takes inserts, and k-NN finds each of them.
+    std::vector<KdPoint> late = RandomPoints(30, 2, 33);
+    for (KdPoint& p : late) {
+      p.id += 1000;
+      ASSERT_TRUE(t.Insert(p.coords, p.id).ok());
+    }
+    EXPECT_EQ(t.size(), late.size());
+    EXPECT_TRUE(t.CheckInvariants().ok());
+    for (const KdPoint& p : late) {
+      auto knn = t.KnnSearch(p.coords, 1);
+      ASSERT_TRUE(knn.ok());
+      ASSERT_EQ(knn->size(), 1u);
+      EXPECT_EQ((*knn)[0].id, p.id);
+    }
+  }
+}
+
 TEST(BulkLoadTest, ValidatesDimensions) {
   SemTreeOptions opts;
   opts.dimensions = 3;

@@ -2,6 +2,9 @@
 //
 // Unit + property tests for src/text: string distances and tokenizer.
 
+#include <cstring>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -92,6 +95,99 @@ TEST(DiceTest, BigramOverlap) {
   // Short strings fall back to equality.
   EXPECT_DOUBLE_EQ(BigramDiceSimilarity("a", "a"), 1.0);
   EXPECT_DOUBLE_EQ(BigramDiceSimilarity("a", "b"), 0.0);
+}
+
+// ---------------------------------------------------------------------
+// Bit-parallel Levenshtein against the dynamic program
+
+// A random string of `length` bytes drawn from `size` byte values
+// starting at `first`.
+std::string RandomBytes(Rng* rng, size_t length, int first, int size) {
+  std::string s(length, '\0');
+  for (char& c : s) {
+    c = static_cast<char>(first + static_cast<int>(rng->Uniform(size)));
+  }
+  return s;
+}
+
+// `s` after a few random substitutions, insertions and deletions, so
+// that pairs with small distances are common.
+std::string Mutate(Rng* rng, std::string s, int first, int size) {
+  const size_t edits = rng->Uniform(6);
+  for (size_t e = 0; e < edits; ++e) {
+    const char c =
+        static_cast<char>(first + static_cast<int>(rng->Uniform(size)));
+    const size_t at = rng->Uniform(s.size() + 1);
+    switch (rng->Uniform(3)) {
+      case 0:
+        if (at < s.size()) s[at] = c;
+        break;
+      case 1:
+        s.insert(s.begin() + static_cast<std::ptrdiff_t>(at), c);
+        break;
+      default:
+        if (at < s.size()) s.erase(at, 1);
+        break;
+    }
+  }
+  return s;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(LevenshteinTest, BitParallelEqualsTheDynamicProgram) {
+  // Lengths 0-130 on both sides of the 64-byte cutoff, a quarter of
+  // them exactly 63, 64 or 65; alphabets of 2 and 26 letters and of
+  // all 256 byte values, so bytes >= 0x80 index the mask table too.
+  struct Alphabet {
+    int first;
+    int size;
+  };
+  const Alphabet alphabets[] = {{'a', 2}, {'a', 26}, {0, 256}};
+  Rng rng(2027);
+  auto length = [&rng]() -> size_t {
+    return rng.Uniform(4) == 0 ? 63 + rng.Uniform(3) : rng.Uniform(131);
+  };
+  size_t pairs = 0;
+  for (const Alphabet& abc : alphabets) {
+    SCOPED_TRACE(abc.size);
+    for (int i = 0; i < 34000; ++i, ++pairs) {
+      const std::string a = RandomBytes(&rng, length(), abc.first, abc.size);
+      const std::string b =
+          i % 2 == 0 ? RandomBytes(&rng, length(), abc.first, abc.size)
+                     : Mutate(&rng, a, abc.first, abc.size);
+      const size_t want = LevenshteinDistanceDp(a, b);
+      ASSERT_EQ(LevenshteinDistance(a, b), want) << a.size() << "/" << b.size();
+      const size_t longest = std::max(a.size(), b.size());
+      const double normalized =
+          longest == 0
+              ? 0.0
+              : static_cast<double>(want) / static_cast<double>(longest);
+      ASSERT_TRUE(SameBits(NormalizedLevenshtein(a, b), normalized));
+      if (a.size() <= LevenshteinPattern::kMaxLength) {
+        const LevenshteinPattern pattern(a);
+        ASSERT_EQ(pattern.Distance(b), want) << a.size() << "/" << b.size();
+        ASSERT_TRUE(SameBits(NormalizedLevenshtein(pattern, b), normalized));
+      }
+    }
+  }
+  EXPECT_GE(pairs, 100000u);
+}
+
+TEST(LevenshteinTest, PatternEdges) {
+  const LevenshteinPattern empty("");
+  EXPECT_EQ(empty.Distance(""), 0u);
+  EXPECT_EQ(empty.Distance("abc"), 3u);
+  EXPECT_EQ(NormalizedLevenshtein(empty, ""), 0.0);
+  const std::string full(LevenshteinPattern::kMaxLength, 'x');
+  const LevenshteinPattern longest(full);
+  EXPECT_EQ(longest.size(), 64u);
+  EXPECT_EQ(longest.Distance(full), 0u);
+  EXPECT_EQ(longest.Distance(""), 64u);
+  EXPECT_EQ(longest.Distance(full + "yy"), 2u);
+  EXPECT_EQ(longest.Distance("\xff" + full.substr(1)), 1u);
 }
 
 // ---------------------------------------------------------------------
