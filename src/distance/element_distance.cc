@@ -19,12 +19,7 @@ CompiledTerm ElementDistance::Compile(const PreparedTerm& term) const {
   CompiledTerm compiled;
   compiled.prepared = term;
   compiled.generation = taxonomy_->generation();
-  const std::string& value = term.term->value();
-  if (term.term->is_literal() &&
-      options_.string_distance == StringDistanceKind::kNormalizedLevenshtein &&
-      value.size() <= LevenshteinPattern::kMaxLength) {
-    compiled.pattern = std::make_unique<const LevenshteinPattern>(value);
-  } else if (term.concept_id != kInvalidConcept) {
+  if (term.concept_id != kInvalidConcept) {
     // The query is the first argument, as in Evaluate.
     compiled.concept_row.resize(taxonomy_->size());
     for (ConceptId c = 0; c < taxonomy_->size(); ++c) {
@@ -45,9 +40,6 @@ double ElementDistance::Evaluate(const PreparedTerm& pa,
     return std::clamp(options_.mixed_kind_distance, 0.0, 1.0);
   }
   if (a.is_literal()) {
-    if (compiled != nullptr && compiled->pattern != nullptr) {
-      return NormalizedLevenshtein(*compiled->pattern, a.value());
-    }
     return StringDistance(options_.string_distance, a.value(), b.value());
   }
   if (pa.concept_id != kInvalidConcept && pb.concept_id != kInvalidConcept) {

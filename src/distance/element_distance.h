@@ -9,7 +9,6 @@
 #define SEMTREE_DISTANCE_ELEMENT_DISTANCE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "ontology/similarity.h"
@@ -48,9 +47,6 @@ struct PreparedTerm {
 /// prepared from, which must outlive it.
 struct CompiledTerm {
   PreparedTerm prepared;
-  /// A literal's Levenshtein masks, when the string distance is
-  /// normalized Levenshtein and the literal fits one; null otherwise.
-  std::unique_ptr<const LevenshteinPattern> pattern;
   /// For a resolved concept p: ConceptDistance(measure, taxonomy, c, p)
   /// at index c, for every concept c. Empty otherwise.
   std::vector<double> concept_row;
@@ -72,9 +68,9 @@ class ElementDistance {
   /// Resolves `term` in the taxonomy once, for repeated comparisons.
   PreparedTerm Prepare(const Term& term) const;
 
-  /// Compiles a prepared term: a literal gets its pattern, a resolved
-  /// concept its distance row (CompiledTerm); any other term compares
-  /// as a prepared one. Costs |C| concept comparisons for a concept.
+  /// Compiles a prepared term: a resolved concept gets its distance
+  /// row (CompiledTerm), at the cost of |C| concept comparisons; any
+  /// other term compares as a prepared one.
   CompiledTerm Compile(const PreparedTerm& term) const;
 
   double operator()(const PreparedTerm& a, const PreparedTerm& b) const {
@@ -83,8 +79,8 @@ class ElementDistance {
   double operator()(const Term& a, const Term& b) const {
     return (*this)(Prepare(a), Prepare(b));
   }
-  /// Bit for bit (*this)(a, b.prepared), with b's pattern or row in
-  /// place of the string or concept comparison.
+  /// Bit for bit (*this)(a, b.prepared), with b's row in place of the
+  /// concept comparison.
   double operator()(const PreparedTerm& a, const CompiledTerm& b) const {
     return Evaluate(a, b.prepared, &b);
   }
@@ -95,7 +91,7 @@ class ElementDistance {
  private:
   // The one dispatch: equal terms, mixed kinds, literals, resolved
   // concepts, out-of-vocabulary names. `compiled`, if given, is `b`
-  // compiled and answers the literal or concept case.
+  // compiled and answers the resolved-concept case.
   double Evaluate(const PreparedTerm& a, const PreparedTerm& b,
                   const CompiledTerm* compiled) const;
 

@@ -65,8 +65,9 @@ class TripleDistance {
   /// Resolves the triple's terms once (see PreparedTriple).
   PreparedTriple Prepare(const Triple& t) const;
 
-  /// Compiles a prepared triple term by term (CompiledTerm); with the
-  /// default options that is one literal pattern and two concept rows.
+  /// Compiles a prepared triple term by term (CompiledTerm); a
+  /// requirement triple (literal, concept, concept) gets two concept
+  /// rows.
   CompiledTriple Compile(const PreparedTriple& t) const;
 
   /// Eq. (1). The Triple overload prepares both sides, then evaluates.

@@ -301,7 +301,11 @@ Result<BatchResult> QueryEngine::Run(
   size_t tasks = std::min(pool_.num_threads(),
                           (batch.size() + per_task - 1) / per_task);
   if (tasks < 1) tasks = 1;
-  size_t chunk = (batch.size() + tasks - 1) / tasks;
+  const size_t chunk = (batch.size() + tasks - 1) / tasks;
+  // Recount from the rounded-up chunk so every span holds at least one
+  // query: 5 queries over 4 tasks are 3 spans of 2, 2 and 1, not a
+  // fourth span starting past the end of the batch.
+  tasks = (batch.size() + chunk - 1) / chunk;
 
   result.outcomes.resize(batch.size());
   std::vector<TaskOutput> parts(tasks);

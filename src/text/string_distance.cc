@@ -3,28 +3,35 @@
 #include "text/string_distance.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 namespace semtree {
 
-namespace {
-
-// Hyyrö's bit-parallel global edit distance between a pattern of
-// 1 <= m <= 64 bytes, given by its per-byte position masks, and
-// `text`. Bit i of `vp` (`vn`) is set when row i + 1 of the dynamic
-// program's current column is one more (one less) than row i; the bits
-// above m - 1, which carries reach, are never read.
-size_t BitParallelLevenshtein(const uint64_t* masks, size_t m,
-                              std::string_view text) {
-  const size_t last = m - 1;  // A shift of at most 63.
+size_t LevenshteinDistance(std::string_view a, std::string_view b) {
+  if (a.size() < b.size()) std::swap(a, b);  // b is the shorter string.
+  if (b.empty()) return a.size();
+  if (b.size() > 64) return LevenshteinDistanceDp(a, b);
+  // Hyyrö's bit-parallel global edit distance with b as the pattern of
+  // m <= 64 bytes: masks[c] has bit i set when b[i] == c. The kernel
+  // reads only the entries of a's bytes, so clearing those and b's,
+  // then setting b's positions, replaces clearing all 256.
+  uint64_t masks[256];
+  for (char ch : a) masks[static_cast<unsigned char>(ch)] = 0;
+  for (char ch : b) masks[static_cast<unsigned char>(ch)] = 0;
+  for (size_t i = 0; i < b.size(); ++i) {
+    masks[static_cast<unsigned char>(b[i])] |= uint64_t{1} << i;
+  }
+  // Bit i of `vp` (`vn`) is set when row i + 1 of the dynamic program's
+  // current column is one more (one less) than row i; the bits above
+  // m - 1, which carries reach, are never read.
+  const size_t last = b.size() - 1;  // A shift of at most 63.
   uint64_t vp = ~uint64_t{0};  // Column 0 is 0, 1, ..., m.
   uint64_t vn = 0;
-  size_t score = m;  // Row m of the current column.
-  for (char ch : text) {
+  size_t score = b.size();  // Row m of the current column.
+  for (char ch : a) {
     const uint64_t eq = masks[static_cast<unsigned char>(ch)];
     const uint64_t d0 = (((eq & vp) + vp) ^ vp) | eq | vn;
     uint64_t hp = vn | ~(d0 | vp);
@@ -33,34 +40,14 @@ size_t BitParallelLevenshtein(const uint64_t* masks, size_t m,
     // form mispredicted enough to make Embed about 1.5x slower.
     score += (hp >> last) & 1;
     score -= (hn >> last) & 1;
-    // Row 0 counts the text's bytes, so it gains one every column: a
-    // +1 horizontal delta enters at the bottom.
+    // Row 0 counts a's bytes, so it gains one every column: a +1
+    // horizontal delta enters at the bottom.
     hp = (hp << 1) | 1;
     hn <<= 1;
     vp = hn | ~(d0 | hp);
     vn = hp & d0;
   }
   return score;
-}
-
-}  // namespace
-
-size_t LevenshteinDistance(std::string_view a, std::string_view b) {
-  if (a.size() < b.size()) std::swap(a, b);  // b is the shorter string.
-  if (b.empty()) return a.size();
-  if (b.size() > LevenshteinPattern::kMaxLength) {
-    return LevenshteinDistanceDp(a, b);
-  }
-  // b's masks. The kernel reads only the entries of a's bytes, so
-  // clearing those and b's, then setting b's positions, replaces
-  // clearing all 256.
-  uint64_t masks[256];
-  for (char ch : a) masks[static_cast<unsigned char>(ch)] = 0;
-  for (char ch : b) masks[static_cast<unsigned char>(ch)] = 0;
-  for (size_t i = 0; i < b.size(); ++i) {
-    masks[static_cast<unsigned char>(b[i])] |= uint64_t{1} << i;
-  }
-  return BitParallelLevenshtein(masks, b.size(), a);
 }
 
 size_t LevenshteinDistanceDp(std::string_view a, std::string_view b) {
@@ -74,42 +61,17 @@ size_t LevenshteinDistanceDp(std::string_view a, std::string_view b) {
     for (size_t j = 1; j <= b.size(); ++j) {
       size_t up = row[j];
       size_t cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-      row[j] = std::min(std::min(row[j - 1], up) + 1, diag + cost);
+      row[j] = std::min({row[j - 1] + 1, up + 1, diag + cost});
       diag = up;
     }
   }
   return row[b.size()];
 }
 
-LevenshteinPattern::LevenshteinPattern(std::string_view pattern)
-    : size_(pattern.size()) {
-  if (size_ > kMaxLength) {
-    std::fprintf(stderr, "LevenshteinPattern: %zu bytes, at most %zu\n",
-                 size_, kMaxLength);
-    std::abort();
-  }
-  for (size_t i = 0; i < size_; ++i) {
-    masks_[static_cast<unsigned char>(pattern[i])] |= uint64_t{1} << i;
-  }
-}
-
-size_t LevenshteinPattern::Distance(std::string_view text) const {
-  if (size_ == 0) return text.size();
-  return BitParallelLevenshtein(masks_.data(), size_, text);
-}
-
 double NormalizedLevenshtein(std::string_view a, std::string_view b) {
   size_t longest = std::max(a.size(), b.size());
   if (longest == 0) return 0.0;
   return static_cast<double>(LevenshteinDistance(a, b)) /
-         static_cast<double>(longest);
-}
-
-double NormalizedLevenshtein(const LevenshteinPattern& a,
-                             std::string_view b) {
-  size_t longest = std::max(a.size(), b.size());
-  if (longest == 0) return 0.0;
-  return static_cast<double>(a.Distance(b)) /
          static_cast<double>(longest);
 }
 

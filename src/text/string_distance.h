@@ -7,18 +7,16 @@
 #ifndef SEMTREE_TEXT_STRING_DISTANCE_H_
 #define SEMTREE_TEXT_STRING_DISTANCE_H_
 
-#include <array>
 #include <cstddef>
-#include <cstdint>
 #include <string_view>
 
 namespace semtree {
 
 /// Classic Levenshtein edit distance (insert/delete/substitute, unit
-/// costs). When the shorter string has at most
-/// LevenshteinPattern::kMaxLength bytes it runs the bit-parallel
-/// algorithm (O(|a| + |b|) time, no allocation); otherwise the dynamic
-/// program below.
+/// costs). When the shorter string has at most 64 bytes it runs Myers'
+/// bit-parallel algorithm (J. ACM 46(3), 1999) in Hyyrö's global
+/// edit-distance form: O(|a| + |b|) time, no allocation. Otherwise the
+/// dynamic program below.
 size_t LevenshteinDistance(std::string_view a, std::string_view b);
 
 /// The O(|a|*|b|) dynamic program with one O(min(|a|,|b|)) row: the
@@ -26,36 +24,9 @@ size_t LevenshteinDistance(std::string_view a, std::string_view b);
 /// bit-parallel path is tested against.
 size_t LevenshteinDistanceDp(std::string_view a, std::string_view b);
 
-/// One string compiled for Levenshtein distances to many others: for
-/// every byte value, the mask of the positions that hold it (Myers,
-/// J. ACM 46(3), 1999, in Hyyrö's global edit-distance form). A fixed
-/// string, such as a FastMap pivot's literal, builds the masks once
-/// instead of on every comparison.
-class LevenshteinPattern {
- public:
-  /// Longest pattern: its positions fit one 64-bit word.
-  static constexpr size_t kMaxLength = 64;
-
-  /// Compiles `pattern`; aborts if it is longer than kMaxLength.
-  explicit LevenshteinPattern(std::string_view pattern);
-
-  size_t size() const { return size_; }
-
-  /// LevenshteinDistance(pattern, text) for a text of any length.
-  size_t Distance(std::string_view text) const;
-
- private:
-  std::array<uint64_t, 256> masks_{};
-  size_t size_ = 0;
-};
-
 /// Levenshtein distance normalized to [0,1] by max(|a|,|b|);
 /// 0 for two empty strings.
 double NormalizedLevenshtein(std::string_view a, std::string_view b);
-
-/// The same against a compiled `a`, bit for bit.
-double NormalizedLevenshtein(const LevenshteinPattern& a,
-                             std::string_view b);
 
 /// Damerau–Levenshtein (optimal string alignment variant): Levenshtein
 /// plus transposition of adjacent characters.

@@ -219,8 +219,8 @@ TEST_F(TripleDistanceTest, PreparedResolvesConceptsOnce) {
 
 // Triples that reach every branch of the element dispatch from either
 // side: a synonym, mixed kinds, out-of-vocabulary concepts, an empty
-// literal, a literal longer than a Levenshtein pattern, and bytes of
-// 0x80 and above.
+// literal, a literal longer than the bit-parallel Levenshtein's 64
+// bytes, and bytes of 0x80 and above.
 std::vector<Triple> EdgeTriples() {
   const Term startup = Term::Concept("startup_cmd", "CmdType");
   return {
@@ -303,12 +303,8 @@ TEST_F(TripleDistanceTest, CompileKeepsWhatEachTermNeeds) {
   ASSERT_TRUE(dist.ok());
   const std::vector<Triple> edges = EdgeTriples();
   const CompiledTriple resolved = dist->Compile(dist->Prepare(edges[1]));
-  ASSERT_NE(resolved.subject.pattern, nullptr);  // A short literal.
-  EXPECT_TRUE(resolved.subject.concept_row.empty());
-  EXPECT_EQ(resolved.predicate.pattern, nullptr);
+  EXPECT_TRUE(resolved.subject.concept_row.empty());  // A literal.
   EXPECT_EQ(resolved.predicate.concept_row.size(), vocab_.size());
-  const CompiledTriple fallback = dist->Compile(dist->Prepare(edges[6]));
-  EXPECT_EQ(fallback.subject.pattern, nullptr);  // Longer than 64 bytes.
   const CompiledTriple unknown = dist->Compile(dist->Prepare(edges[4]));
   EXPECT_TRUE(unknown.predicate.concept_row.empty());  // Not in vocabulary.
 }

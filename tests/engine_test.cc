@@ -532,6 +532,52 @@ TEST(DistributedBatchTest, EngineOverSemTreeMatchesAndCaches) {
   EXPECT_EQ(fresh->outcomes[0].neighbors[0].id, 7777u);
 }
 
+// Batches that do not divide evenly over the workers. With 4 threads
+// and one query per task, 5 queries round up to chunks of 2, which fill
+// only 3 spans; no span may start past the end of the batch. Each
+// outcome must be the one RunOne gives on a second engine.
+void ExpectUnevenBatchesMatchRunOne(QueryEngine* engine,
+                                    QueryEngine* reference, size_t dims,
+                                    const std::string& target) {
+  for (size_t n = 1; n <= 9; ++n) {
+    auto batch = MixedBatch(RandomVectors(n, dims, 70 + n));
+    auto result = engine->Run(batch);
+    ASSERT_TRUE(result.ok()) << target << " " << result.status().ToString();
+    ASSERT_EQ(result->outcomes.size(), n);
+    EXPECT_EQ(result->stats.queries, n);
+    for (size_t i = 0; i < n; ++i) {
+      auto want = reference->RunOne(batch[i]);
+      ASSERT_TRUE(want.ok());
+      ExpectSameNeighbors(result->outcomes[i].neighbors, want->neighbors,
+                          target + " batch " + std::to_string(n) +
+                              " query " + std::to_string(i));
+    }
+  }
+}
+
+TEST(EngineTest, UnevenBatchesLeaveNoEmptySpan) {
+  const size_t kDims = 4;
+  auto rows = RandomVectors(300, kDims, 71);
+  QueryEngineOptions opts;
+  opts.threads = 4;
+  opts.min_queries_per_task = 1;
+
+  auto index = MakeSpatialIndex(BackendKind::kKdTree, kDims);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(index->Insert(rows[i], PointId(i)).ok());
+  }
+  QueryEngine sequential(index.get(), opts);
+  QueryEngine sequential_reference(index.get());
+  ExpectUnevenBatchesMatchRunOne(&sequential, &sequential_reference, kDims,
+                                 "sequential");
+
+  auto tree = MakeLoadedTree(rows, /*partitions=*/4);
+  QueryEngine distributed(tree.get(), opts);
+  QueryEngine distributed_reference(tree.get());
+  ExpectUnevenBatchesMatchRunOne(&distributed, &distributed_reference, kDims,
+                                 "distributed");
+}
+
 // ---------------------------------------------------------------------
 // RunOne's cost on a cache hit: the key's coordinates and the answer.
 
